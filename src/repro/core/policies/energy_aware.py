@@ -26,7 +26,6 @@ class EnergyAwarePolicy(PlacementPolicy):
     solver: str = "auto"
     max_nodes: int = 100
     time_limit_s: float = 15.0
-    epoch_shards: int = 1
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1

@@ -22,11 +22,9 @@ def run(seed: int = EXPERIMENT_SEED, latency_limit_ms: float = 20.0,
         n_epochs: int = 12, apps_per_site_per_epoch: float = 2.0,
         max_sites: int | None = None,
         continents: tuple[str, ...] = ("US", "EU"),
-        epoch_shards: int = 1, hierarchy_regions: int = 1) -> dict[str, object]:
+        hierarchy_regions: int = 1) -> dict[str, object]:
     """Year-long CDN simulation for both continents under the four policies.
 
-    ``epoch_shards`` is an execution knob, not science: the sharded kernel is
-    bit-identical to the serial one, so the artifact does not depend on it.
     ``hierarchy_regions`` is *recorded* science: above 1 every policy routes
     through the cluster-then-refine solver tier, which changes placements.
     """
@@ -38,7 +36,6 @@ def run(seed: int = EXPERIMENT_SEED, latency_limit_ms: float = 20.0,
             n_epochs=n_epochs,
             apps_per_site_per_epoch=apps_per_site_per_epoch,
             max_sites=max_sites,
-            epoch_shards=epoch_shards,
             hierarchy_regions=hierarchy_regions,
             seed=seed,
         )
@@ -82,11 +79,11 @@ SPEC = register(ExperimentSpec(
     report=report,
     params=dict(seed=EXPERIMENT_SEED, latency_limit_ms=20.0, n_epochs=12,
                 apps_per_site_per_epoch=2.0, max_sites=None,
-                continents=("US", "EU"), epoch_shards=1, hierarchy_regions=1),
-    # Smoke keeps one epoch on ten sites but enough arrivals (~60) to clear
-    # the shard-size threshold, so the CI shard-determinism job (serial vs
-    # --epoch-shards 2, diffed byte-for-byte) exercises the sharded kernel
-    # rather than its serial fallback.
+                continents=("US", "EU"), hierarchy_regions=1),
+    # Smoke keeps one epoch on ten sites with ~60 arrivals, so capacity
+    # binds and the kernel's replay does real work. The smoke artifact's
+    # digest is pinned in tests/test_golden_artifacts.py: changing these
+    # params changes it.
     smoke_params=dict(n_epochs=1, max_sites=10, continents=("EU",),
                       apps_per_site_per_epoch=6.0),
     sweep=(SweepAxis("continents"),),

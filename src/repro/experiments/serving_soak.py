@@ -32,7 +32,7 @@ from repro.simulator.scenario import CDNScenario
 
 def run(seed: int = EXPERIMENT_SEED, continent: str = "EU",
         max_sites: int | None = 10, apps_per_site_per_epoch: float = 6.0,
-        n_epochs: int = 1, epoch_shards: int = 1,
+        n_epochs: int = 1,
         rate_per_s: float = 0.02, shape: str = "poisson",
         mean_lifetime_s: float = 5400.0,
         duration_s: float = 6 * 3600.0,
@@ -50,7 +50,6 @@ def run(seed: int = EXPERIMENT_SEED, continent: str = "EU",
         n_epochs=n_epochs,
         apps_per_site_per_epoch=apps_per_site_per_epoch,
         max_sites=max_sites,
-        epoch_shards=epoch_shards,
         seed=seed,
     )
     config = ServingConfig(batch_interval_s=batch_interval_s,
@@ -103,7 +102,7 @@ SPEC = register(ExperimentSpec(
     compute=compute,
     report=report,
     params=dict(seed=EXPERIMENT_SEED, continent="EU", max_sites=10,
-                apps_per_site_per_epoch=6.0, n_epochs=1, epoch_shards=1,
+                apps_per_site_per_epoch=6.0, n_epochs=1,
                 rate_per_s=0.02, shape="poisson", mean_lifetime_s=5400.0,
                 duration_s=6 * 3600.0, batch_interval_s=300.0,
                 resolve_interval_s=3600.0, max_events=None),

@@ -7,8 +7,8 @@ batch :meth:`repro.simulator.cdn.CDNSimulator.run` loop over the same
 scenario. This module canonicalises both sides' epoch records into compact
 sorted-keys JSON (wall-clock fields excluded) and byte-diffs them —
 :func:`check_replay_parity` is shared by the regression tests, the property
-suite, and ``carbon-edge serve --replay-parity`` in CI, which runs it across
-``--epoch-shards {1,2}`` and the scenario-tier kill-switch.
+suite, and ``carbon-edge serve --replay-parity`` in CI, which runs it with
+and without the scenario-tier kill-switch.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ def canonical_records(result: SimulationResult, policy: str) -> str:
 
     Everything deterministic goes in: the full (app → server) assignment
     maps, carbon/energy, latency metrics, per-site counts, hosting
-    intensities, shard diagnostics. ``solve_time_s`` is the one wall-clock
-    field and is excluded; two runs that made the same decisions must
-    serialize to *identical bytes* here.
+    intensities. ``solve_time_s`` is the one wall-clock field and is
+    excluded; two runs that made the same decisions must serialize to
+    *identical bytes* here.
     """
     entries = [{
         "epoch": r.epoch,
@@ -44,7 +44,6 @@ def canonical_records(result: SimulationResult, policy: str) -> str:
         "apps_per_site": r.apps_per_site,
         "hosting_intensities": r.hosting_intensities,
         "n_nearest_unreachable": r.n_nearest_unreachable,
-        "shard_parallel_fraction": r.shard_parallel_fraction,
         "assignments": r.assignments,
     } for r in result.records[policy]]
     return json.dumps(entries, sort_keys=True, separators=(",", ":"))
@@ -94,7 +93,7 @@ def check_replay_parity(scenario: CDNScenario,
     from repro.serving.service import PlacementService, ServingConfig
 
     if policies is None:
-        policies = default_policies(scenario.solver, scenario.epoch_shards)
+        policies = default_policies(scenario.solver)
     batch = CDNSimulator(scenario=scenario).run(
         policies=policies, validate=validate, record_assignments=True)
     checks: list[ParityCheck] = []

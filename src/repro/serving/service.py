@@ -21,10 +21,9 @@ event kinds drive it:
 events derived from a :class:`~repro.simulator.scenario.CDNScenario` (one
 ``"epoch"`` event per placement epoch) and must produce *byte-identical*
 placement decisions to :meth:`repro.simulator.cdn.CDNSimulator.run` — the
-extension of the determinism contract that already governs intra-epoch
-sharding and the scenario-compilation tier. :mod:`repro.serving.parity`
-packages the byte-diff; CI runs it across ``--epoch-shards {1,2}`` and the
-scenario-tier kill-switch.
+extension of the determinism contract that already governs the
+scenario-compilation tier. :mod:`repro.serving.parity` packages the
+byte-diff; CI runs it with and without the scenario-tier kill-switch.
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ class PlacementService:
         """
         simulator = CDNSimulator(scenario=scenario)
         if policy is None:
-            policy = CarbonEdgePolicy(solver=scenario.solver,
-                                      epoch_shards=scenario.epoch_shards)
+            policy = CarbonEdgePolicy(solver=scenario.solver)
         if feed is None:
             feed = ResilientCarbonFeed(
                 adapter=adapter or TraceFeed(simulator.carbon),

@@ -43,23 +43,17 @@ from repro.workloads.demand import capacity_weights_from_population, population_
 from repro.workloads.generator import ApplicationGenerator
 
 
-def default_policies(solver: str = "greedy",
-                     epoch_shards: int = 1,
+def default_policies(solver: str = "greedy", *,
                      hierarchy_regions: int = 1,
                      refine_backend: str = "greedy") -> list[PlacementPolicy]:
     """The four policies the paper compares (Section 6.1.3).
 
-    ``epoch_shards`` is the per-epoch shard dispatch width: every policy's
-    greedy construction partitions the compiled epoch tensors along the
-    application axis and solves shards on a worker pool, bit-identically to
-    the serial kernel (so sharding never changes a policy comparison).
     ``hierarchy_regions > 1`` routes every policy through the cluster-then-
     refine hierarchy instead (:mod:`repro.solver.hierarchy`) — a different
     solver tier that changes placements (the comparison stays fair because
     all policies go through the same tier).
     """
-    knobs = dict(epoch_shards=epoch_shards, hierarchy_regions=hierarchy_regions,
-                 refine_backend=refine_backend)
+    knobs = dict(hierarchy_regions=hierarchy_regions, refine_backend=refine_backend)
     return [
         LatencyAwarePolicy(**knobs),
         EnergyAwarePolicy(solver=solver, **knobs),
@@ -197,7 +191,6 @@ def build_epoch_record(problem: PlacementProblem, compilation, solution,
         hosting_intensities=hosting_intensities,
         solve_time_s=solution.solve_time_s,
         n_nearest_unreachable=compilation.n_nearest_unreachable,
-        shard_parallel_fraction=solution.shard_parallel_fraction,
         wave_count=solution.wave_count,
         revalidation_rate=solution.revalidation_rate,
         assignments=assignments,
@@ -299,8 +292,9 @@ class CDNSimulator:
         each policy paying for its own copy of the same precomputation.
         """
         policies = policies if policies is not None else default_policies(
-            self.scenario.solver, self.scenario.epoch_shards,
-            self.scenario.hierarchy_regions, self.scenario.refine_backend)
+            self.scenario.solver,
+            hierarchy_regions=self.scenario.hierarchy_regions,
+            refine_backend=self.scenario.refine_backend)
         result = SimulationResult(scenario_name=f"CDN-{self.scenario.continent}")
         plan = None
         if any(p.solver_config().hierarchy_regions > 1 for p in policies):

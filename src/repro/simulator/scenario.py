@@ -41,20 +41,13 @@ class CDNScenario:
         Optional cap on the number of CDN cities simulated (keeps tests fast).
     solver:
         Solver strategy handed to the optimisation-based policies.
-    epoch_shards:
-        Intra-epoch shard count for the dense greedy kernel: each epoch's
-        compiled tensors are partitioned along the application axis and
-        solved on a worker pool. Solutions — and therefore every simulation
-        artifact — are bit-identical for any value (see
-        :mod:`repro.solver.compile`); ``1`` keeps the serial kernel.
     hierarchy_regions:
         Number of geographic regions for the cluster-then-refine solver tier
         (:mod:`repro.solver.hierarchy`). ``1`` keeps the flat solve; higher
         values cluster the fleet, solve a coarse apps×regions pass, and
-        refine per region. Unlike ``epoch_shards`` this knob *changes the
-        answer* (the coarse/refine gap is recorded, never hidden), but for a
-        fixed value the artifacts stay byte-stable across worker counts and
-        dispatch modes.
+        refine per region. This knob *changes the answer* (the coarse/refine
+        gap is recorded, never hidden), but for a fixed value the artifacts
+        stay byte-stable across worker counts.
     refine_backend:
         Registry backend used for each region's refinement sub-solve when
         ``hierarchy_regions > 1``.
@@ -75,7 +68,6 @@ class CDNScenario:
     request_rate_rps: float = 10.0
     max_sites: int | None = None
     solver: str = "greedy"
-    epoch_shards: int = 1
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     seed: int = 0
@@ -97,8 +89,6 @@ class CDNScenario:
             raise ValueError("servers_per_site must be positive")
         if self.max_sites is not None and self.max_sites <= 1:
             raise ValueError("max_sites must be at least 2")
-        if self.epoch_shards < 1:
-            raise ValueError(f"epoch_shards must be >= 1, got {self.epoch_shards}")
         if self.hierarchy_regions < 1:
             raise ValueError(
                 f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")

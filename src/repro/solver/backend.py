@@ -74,9 +74,8 @@ class SolveRequest:
         Seed for the randomised backends (randomized rounding).
     config:
         Execution configuration (:class:`~repro.solver.config.SolverConfig`):
-        intra-epoch shard count and serial-fallback threshold for the dense
-        greedy kernel. Carries a determinism contract — it changes how fast
-        the answer is produced, never which answer comes back.
+        the hierarchy tier's knobs and the exact backends' search-worker
+        count (see its documented carve-outs).
     """
 
     problem: PlacementProblem

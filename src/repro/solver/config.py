@@ -17,24 +17,8 @@ AUTO_EXACT_PAIR_LIMIT: int = 4000
 #: "auto" never picks the exact backend with less than this much budget (s).
 AUTO_MIN_EXACT_BUDGET_S: float = 1.0
 
-#: Epochs with fewer pending applications than this solve serially even when
-#: sharding is requested — below it the shard planner and pool dispatch cost
-#: more than the per-application loop they replace.
-MIN_SHARD_APPS: int = 32
 
-#: Recognised reconciliation-replay modes: ``auto`` follows the wave-replay
-#: kill-switch (wave unless disabled), ``wave`` forces the wave-vectorised
-#: replay, ``serial`` forces the per-application replay loop. All three are
-#: bit-identical; the knob only selects execution.
-RECONCILE_MODES: tuple[str, ...] = ("auto", "wave", "serial")
-
-#: Recognised shard-dispatch modes: ``auto`` uses the persistent pool only on
-#: free-threaded interpreters (see :mod:`repro.solver.dispatch`), ``pool``
-#: forces the process-lifetime executor, ``serial`` runs shard tasks inline.
-DISPATCH_MODES: tuple[str, ...] = ("auto", "pool", "serial")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolverConfig:
     """Execution configuration of one solve, orthogonal to *what* is solved.
 
@@ -57,37 +41,17 @@ class SolverConfig:
     refine hierarchy of :mod:`repro.solver.hierarchy` — which deliberately
     trades optimality for memory/scale and therefore *does* change the answer
     versus the flat solve. Within a fixed hierarchy configuration the usual
-    contract holds: worker counts, dispatch modes, and region dispatch order
-    never change the answer, and the coarse/refine objective gap versus flat
-    is recorded, never hidden. Backends themselves never see these knobs: the
-    hierarchy tier consumes them above the backend layer and hands each
-    region's restricted sub-problem to the registry with
-    ``hierarchy_regions=1``.
+    contract holds: the answer is deterministic, and the coarse/refine
+    objective gap versus flat is recorded, never hidden.
+    Backends themselves never see these knobs: the hierarchy tier consumes
+    them above the backend layer and hands each region's restricted
+    sub-problem to the registry with ``hierarchy_regions=1``.
+
+    Every field is keyword-only, so a positional call written against an
+    older field order fails instead of silently setting a different knob.
 
     Parameters
     ----------
-    epoch_shards:
-        Number of intra-epoch shards for the dense greedy kernel
-        (:func:`repro.solver.compile.greedy_fill_sharded`). ``1`` keeps the
-        serial kernel; higher values partition the compiled epoch tensors
-        along the application axis and solve independent shards on a worker
-        pool. Solutions are bit-identical for every value.
-    min_shard_apps:
-        Serial-fallback threshold: epochs with fewer pending applications are
-        solved serially regardless of ``epoch_shards``.
-    reconcile_mode:
-        How speculative winners and shard placements are replayed into the
-        shared state: ``"wave"`` commits provably-settled waves with dense
-        batched ops and drops to the exact per-application step only for the
-        conflicting tail, ``"serial"`` keeps the per-application replay loop,
-        ``"auto"`` follows the ``CARBON_EDGE_DISABLE_WAVE_REPLAY``
-        kill-switch (wave unless disabled). Bit-identical for every mode.
-    dispatch:
-        Shard-task execution: ``"pool"`` uses the persistent process-lifetime
-        executor (:mod:`repro.solver.dispatch`), ``"serial"`` runs tasks
-        inline, ``"auto"`` pools only on free-threaded interpreters where
-        coupled component bins genuinely overlap. Bit-identical for every
-        mode.
     hierarchy_regions:
         Number of geographic regions for the cluster-then-refine hierarchy
         (:mod:`repro.solver.hierarchy`). ``1`` keeps the flat solve; higher
@@ -105,29 +69,14 @@ class SolverConfig:
         returned.
     """
 
-    epoch_shards: int = 1
-    min_shard_apps: int = MIN_SHARD_APPS
-    reconcile_mode: str = "auto"
-    dispatch: str = "auto"
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.epoch_shards < 1:
-            raise ValueError(f"epoch_shards must be >= 1, got {self.epoch_shards}")
         if self.num_search_workers < 1:
             raise ValueError(
                 f"num_search_workers must be >= 1, got {self.num_search_workers}")
-        if self.min_shard_apps < 1:
-            raise ValueError(f"min_shard_apps must be >= 1, got {self.min_shard_apps}")
-        if self.reconcile_mode not in RECONCILE_MODES:
-            raise ValueError(
-                f"reconcile_mode must be one of {RECONCILE_MODES}, "
-                f"got {self.reconcile_mode!r}")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}")
         if self.hierarchy_regions < 1:
             raise ValueError(
                 f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")
@@ -137,5 +86,5 @@ class SolverConfig:
                 f"got {self.refine_backend!r}")
 
 
-#: Shared default configuration (serial kernel).
+#: Shared default configuration (flat solve, one search worker).
 DEFAULT_SOLVER_CONFIG = SolverConfig()

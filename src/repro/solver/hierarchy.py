@@ -20,10 +20,8 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
 3. **Refine pass**: each region's restricted sub-problem (the apps the coarse
    pass routed there × the region's servers) is compiled through
    :meth:`ScenarioCompilation.region_slice` and solved through the backend
-   registry (``refine_backend``), reusing warm starts and the intra-epoch
-   shard machinery; regions are dispatched across the persistent pool
-   (:func:`repro.solver.dispatch.run_tasks`) and merged by region index, so
-   dispatch order never changes the answer.
+   registry (``refine_backend``), reusing warm starts; regions are refined
+   and merged in region-index order.
 4. **Spill**: apps a region's refinement could not fit (coarse aggregate
    capacity is optimistic) are re-routed in deterministic global order to
    neighbouring regions (centroid-distance order; coarse-unrouted apps try
@@ -32,13 +30,12 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
 The hierarchy deliberately changes placements versus the flat solve — the
 coarse/refine objective gap is *recorded* on :class:`HierarchicalResult`,
 never hidden — but within a fixed ``(plan, config)`` the artifacts are
-byte-stable across worker counts, dispatch modes, and region dispatch order.
+byte-stable across worker counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,7 +44,6 @@ from repro.core.objective import ObjectiveKind, apply_tie_break
 from repro.network.geo import pairwise_distances_km
 from repro.solver.compile import DenseCosts, GreedyState, ScenarioCompilation, greedy_fill
 from repro.solver.config import DEFAULT_SOLVER_CONFIG, SolverConfig
-from repro.solver.dispatch import run_tasks
 from repro.solver.registry import solve as registry_solve
 from repro.utils.rng import substream
 from repro.utils.units import joules_to_kwh
@@ -423,7 +419,7 @@ def solve_hierarchical(
                        raw_assign=raw_cost, activation=np.zeros(n_eff),
                        initially_on=np.ones(n_eff, dtype=bool))
     state = GreedyState(dense)
-    greedy_fill(state, class_energy[inverse], reconcile_mode=config.reconcile_mode)
+    greedy_fill(state, class_energy[inverse])
     routed = state.assignment
     placed_coarse = routed >= 0
     coarse_objective = float(raw_cost[np.flatnonzero(placed_coarse),
@@ -432,9 +428,9 @@ def solve_hierarchical(
 
     # -- per-region refinement through the backend registry ---------------------
     region_config = replace(config, hierarchy_regions=1)
-    tasks = []
-    task_regions = []
     region_app_counts = [0] * n_eff
+    assignment = np.full(n_apps, -1, dtype=int)
+    remaining: dict[int, list] = {}
     for r in range(n_eff):
         idx_r = np.flatnonzero(routed == r)
         region_app_counts[r] = len(idx_r)
@@ -442,21 +438,14 @@ def solve_hierarchical(
             continue
         apps_r = batch.subset(idx_r) if batch is not None \
             else [applications[i] for i in idx_r]
-        tasks.append(partial(
-            _refine_region, compilation, cols[r], apps_r, idx_r,
+        global_idx, local, remaining[r] = _refine_region(
+            compilation, cols[r], apps_r, idx_r,
             hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
             objective=objective, alpha=alpha, manage_power=manage_power,
             refine_backend=config.refine_backend, seed=seed,
-            config=region_config, warm_start=warm_start))
-        task_regions.append(r)
-    assignment = np.full(n_apps, -1, dtype=int)
-    remaining: dict[int, list] = {}
-    # run_tasks preserves submission (region-index) order, so the merge below
-    # is independent of how tasks interleave on the pool.
-    for r, (global_idx, local, rem) in zip(task_regions, run_tasks(tasks, mode=config.dispatch)):
+            config=region_config, warm_start=warm_start)
         placed = local >= 0
         assignment[global_idx[placed]] = cols[r][local[placed]]
-        remaining[r] = rem
 
     # -- spill: deterministic re-routing of everything still unplaced -----------
     n_spilled = 0

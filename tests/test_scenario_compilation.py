@@ -202,20 +202,3 @@ def test_non_pristine_delta_reads_live_fleet_state():
         substrate=sim.scenario_compilation())
     assert again is not fast
 
-
-def test_shard_parallel_fraction_observable_in_records():
-    # Enough arrivals (~48 > MIN_SHARD_APPS) for the planner to draw a plan.
-    kwargs = dict(SCENARIO_KWARGS, n_epochs=1, apps_per_site_per_epoch=6.0)
-    serial = CDNSimulator(scenario=CDNScenario(**kwargs)).run()
-    sharded = CDNSimulator(
-        scenario=CDNScenario(**kwargs, epoch_shards=2)).run()
-    for policy in serial.policies():
-        for record in serial.records[policy]:
-            assert record.shard_parallel_fraction is None
-        assert serial.mean_shard_parallel_fraction(policy) is None
-        fractions = [r.shard_parallel_fraction for r in sharded.records[policy]]
-        assert all(f is not None and 0.0 <= f <= 1.0 for f in fractions)
-        mean = sharded.mean_shard_parallel_fraction(policy)
-        assert mean == pytest.approx(float(np.mean(fractions)))
-        # Sharding is an execution knob: the science is unchanged.
-        assert serial.total_carbon_g(policy) == sharded.total_carbon_g(policy)

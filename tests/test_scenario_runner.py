@@ -112,50 +112,6 @@ def test_sharded_merge_equals_sequential_run():
     assert sharded.n_units == 2
 
 
-def test_epoch_shards_do_not_change_artifact_bytes():
-    """--epoch-shards 1/4 produce byte-identical fig11 artifacts.
-
-    The app count is pushed above the shard-size threshold so the sharded
-    kernel genuinely executes (rather than falling back to serial), and the
-    recorded params must not leak the execution-only override.
-    """
-    overrides = {"apps_per_site_per_epoch": 6.0}
-    reference = None
-    for epoch_shards in (1, 4):
-        result = ScenarioRunner(smoke=True, overrides=overrides,
-                                epoch_shards=epoch_shards).run_one("fig11")
-        assert result.params["epoch_shards"] == 1  # execution knob, not science
-        blob = result.to_json()
-        if reference is None:
-            reference = blob
-        assert blob == reference, f"epoch_shards={epoch_shards} changed fig11"
-
-
-def test_sub_shard_size_epochs_fall_back_to_serial_byte_identically():
-    """Epochs below the shard-size threshold (here ~10 apps < 32) take the
-    serial fallback even under an aggressive --epoch-shards, and the artifact
-    still matches the serial run byte for byte."""
-    overrides = {"apps_per_site_per_epoch": 1.0}
-    serial = ScenarioRunner(smoke=True, overrides=overrides).run_one("fig11")
-    sharded = ScenarioRunner(smoke=True, overrides=overrides,
-                             epoch_shards=16).run_one("fig11")
-    assert sharded.to_json() == serial.to_json()
-
-
-def test_surplus_workers_become_intra_unit_shards():
-    runner = ScenarioRunner(workers=8)
-    assert runner._effective_epoch_shards(n_units=2) == 4
-    assert runner._effective_epoch_shards(n_units=8) == 1
-    assert runner._effective_epoch_shards(n_units=0) == 1
-    explicit = ScenarioRunner(workers=1, epoch_shards=3)
-    assert explicit._effective_epoch_shards(n_units=50) == 3
-
-
-def test_runner_rejects_bad_epoch_shards():
-    with pytest.raises(ValueError, match="epoch_shards"):
-        ScenarioRunner(epoch_shards=0)
-
-
 def test_run_experiments_multiple_specs_in_one_session():
     results = run_experiments(["table1", "fig07"], workers=2, smoke=True)
     assert list(results) == ["table1", "fig07"]

@@ -4,14 +4,12 @@ The correctness anchor of the serving mode: a :class:`PlacementService` run
 driven by events derived from a fig11-style scenario must produce
 *bit-identical* placement decisions to the batch
 :meth:`~repro.simulator.cdn.CDNSimulator.run` loop — across every default
-policy, across intra-epoch shard counts, and with the scenario-compilation
+policy, and with the scenario-compilation
 tier force-disabled (the kill-switch sends both loops down the cold rebuild
 path, and parity must still hold).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.experiments.common import EXPERIMENT_SEED
 from repro.serving.parity import canonical_records, check_replay_parity
@@ -20,17 +18,15 @@ from repro.simulator.cdn import CDNSimulator
 from repro.simulator.scenario import CDNScenario
 
 
-def _smoke_scenario(epoch_shards: int = 1, n_epochs: int = 1) -> CDNScenario:
+def _smoke_scenario(n_epochs: int = 1) -> CDNScenario:
     """The fig11 smoke configuration (EU side), as used by CI."""
     return CDNScenario(continent="EU", n_epochs=n_epochs, max_sites=10,
-                       apps_per_site_per_epoch=6.0, epoch_shards=epoch_shards,
-                       seed=EXPERIMENT_SEED)
+                       apps_per_site_per_epoch=6.0, seed=EXPERIMENT_SEED)
 
 
-@pytest.mark.parametrize("epoch_shards", [1, 2])
-def test_replay_parity_across_default_policies(epoch_shards):
-    """Byte-diff every default policy's decisions, serial and sharded."""
-    report = check_replay_parity(_smoke_scenario(epoch_shards=epoch_shards))
+def test_replay_parity_across_default_policies():
+    """Byte-diff every default policy's decisions."""
+    report = check_replay_parity(_smoke_scenario())
     assert [c.policy for c in report.checks] == [
         "Latency-aware", "Energy-aware", "Intensity-aware", "CarbonEdge"]
     for check in report.checks:

@@ -42,6 +42,15 @@ def test_default_policies_names():
     assert names == ["Latency-aware", "Energy-aware", "Intensity-aware", "CarbonEdge"]
 
 
+def test_default_policies_solver_knobs_are_keyword_only():
+    """A positional second argument must fail loudly: it would otherwise
+    silently set ``hierarchy_regions`` and change every placement."""
+    with pytest.raises(TypeError):
+        default_policies("greedy", 2)
+    policies = default_policies("greedy", hierarchy_regions=2)
+    assert all(p.solver_config().hierarchy_regions == 2 for p in policies)
+
+
 def test_simulation_runs_all_policies(small_result):
     assert set(small_result.policies()) == {"Latency-aware", "Energy-aware",
                                             "Intensity-aware", "CarbonEdge"}
