@@ -1,193 +1,169 @@
 """Translation of a placement problem into the MILP of Equations 1–7.
 
-Variables
----------
-* ``x[i,j]`` — binary, application *i* placed on server *j*; only created for
-  pairs that survive the feasibility filter (latency constraint, Equation 2,
-  is therefore enforced structurally).
-* ``y[j]`` — binary, server *j* powered on; its lower bound is the current
-  power state (power-state consistency, Equation 4).
+The model is built directly in matrix form (a
+:class:`~repro.solver.milp.LinearProgram`) from the epoch compilation's
+:class:`~repro.solver.compile.DenseCosts`, the tensors every other backend
+reads; no per-variable names or dicts are made.
 
-Constraints
------------
-* Equation 1: per-server, per-resource capacity with the ``y_j`` coupling.
-* Equation 3: each (placeable) application assigned to exactly one server.
-* Equation 5: ``x_ij <= y_j``.
+Columns
+-------
+* ``y[0..S-1]`` first — binary, server *j* powered on; its lower bound is the
+  current power state (power-state consistency, Equation 4).
+* then one ``x`` per candidate pair, in ``np.nonzero(dense.mask)`` row-major
+  order — binary, application *i* placed on server *j*. Only pairs that
+  survive the feasibility filter get a column, so the latency constraint
+  (Equation 2) is enforced structurally. An application's columns are
+  contiguous: ``offsets[i]:offsets[i + 1]``.
+
+Rows
+----
+* ``A_eq`` — Equation 3: one row per placeable application, ascending, with
+  1 on each of its pairs.
+* ``A_ub`` — Equation 1 first: one row per (server *j*, resource key) with at
+  least one positive candidate demand, servers ascending and keys in sorted
+  order, with ``-capacity`` on ``y_j`` (dropped when exactly zero). Then
+  Equation 5: one ``x_ij - y_j <= 0`` row per pair.
 
 Objective
 ---------
 Equation 6 (or the energy / multi-objective variants): assignment coefficients
-on the ``x`` variables and activation coefficients ``(y_j - y^curr_j)`` on the
-``y`` variables; the constant ``-Σ y^curr_j·coeff`` is folded into the model's
+on the ``x`` columns and activation coefficients ``(y_j - y^curr_j)`` on the
+``y`` columns; the constant ``-Σ y^curr_j·coeff`` is folded into the program's
 objective constant so reported objective values equal the solution metrics.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.filters import FeasibilityReport
-from repro.core.objective import (
-    ObjectiveKind,
-    apply_tie_break,
-    objective_coefficients,
-    tie_break_matrix,
-)
 from repro.core.problem import PlacementProblem
-from repro.solver.milp import MILPModel
+from repro.solver.milp import LinearProgram, csr_from_triplets
+
+if TYPE_CHECKING:  # typing only: the compilation layer imports this package
+    from repro.solver.compile import DenseCosts
 
 
-def x_name(i: int, j: int) -> str:
-    """Canonical name of the placement variable x_ij."""
-    return f"x[{i},{j}]"
+@dataclass(frozen=True)
+class PlacementProgram:
+    """The placement MILP in matrix form plus its column map."""
+
+    program: LinearProgram
+    #: (P,) application of each ``x`` column (column ``n_servers + p``).
+    pair_app: np.ndarray
+    #: (P,) server of each ``x`` column.
+    pair_server: np.ndarray
+    #: (A + 1,) application ``i``'s ``x`` columns are ``offsets[i]:offsets[i + 1]``.
+    offsets: np.ndarray
 
 
-def y_name(j: int) -> str:
-    """Canonical name of the power variable y_j."""
-    return f"y[{j}]"
-
-
-def build_placement_model(
-    problem: PlacementProblem,
-    objective: ObjectiveKind = ObjectiveKind.CARBON,
-    alpha: float = 0.0,
-    report: FeasibilityReport | None = None,
-    manage_power: bool = True,
-) -> tuple[MILPModel, FeasibilityReport]:
+def build_placement_model(problem: PlacementProblem,
+                          dense: DenseCosts | None = None) -> PlacementProgram:
     """Build the placement MILP for a problem.
 
     Parameters
     ----------
     problem:
         The placement problem instance.
-    objective:
-        Which objective to minimise (carbon by default).
-    alpha:
-        Energy weight for the multi-objective variant (Equation 8).
-    report:
-        Pre-computed feasibility report. When omitted it is read from the
-        problem's memoised epoch compilation
-        (:func:`repro.solver.compile.compile_placement`) — scenario-tier
-        builds arrive with the report pre-assembled from cached class rows,
-        and every consumer of the same problem shares one report either way.
-    manage_power:
-        When False, every server is treated as already on and no activation
-        term is added — the ablation benchmark uses this to quantify the value
-        of power-state management.
+    dense:
+        The compiled cost tensors to build from (``SolveRequest.dense()``):
+        candidate mask, tie-broken assignment cost, activation cost (zero
+        when power is unmanaged), demand and capacity. Every backend reads
+        the same tensors, so they all minimise the same augmented objective.
+        When omitted, the problem's compiled carbon-objective tensors with
+        power management are used.
 
     Returns
     -------
-    (model, report):
-        The MILP model and the feasibility report used to build it.
-        Applications listed in ``report.unplaceable`` have no variables and no
-        assignment constraint; callers must handle them.
+    PlacementProgram
+        The program and its column map. Applications without a candidate
+        server (``report.unplaceable``) have no columns and no assignment
+        row; callers must handle them.
     """
-    if report is None:
-        # Share the problem's memoised compilation (and therefore its report)
-        # with the policies and backends instead of re-running the filter.
+    if dense is None:
         from repro.solver.compile import compile_placement
 
-        report = compile_placement(problem).report
-    model = MILPModel(name="carbon-edge-placement")
-    assign_coeff, activation_coeff = objective_coefficients(problem, objective, alpha)
+        dense = compile_placement(problem).dense()
+    n_apps, n_servers = problem.n_applications, problem.n_servers
+    pair_app, pair_server = np.nonzero(dense.mask)
+    n_pairs = len(pair_app)
+    n = n_servers + n_pairs
+    x_cols = n_servers + np.arange(n_pairs)
+    counts = np.bincount(pair_app, minlength=n_apps)
+    offsets = n_servers + np.concatenate(([0], np.cumsum(counts)))
 
-    # Deterministic tie-break shared with the dense backends (the rule and
-    # epsilon live in repro.core.objective), so every backend minimises the
-    # identical augmented objective.
-    assign_coeff = apply_tie_break(assign_coeff, report.mask,
-                                   tie_break_matrix(problem, objective))
-
-    # Variables -------------------------------------------------------------
-    for j in range(problem.n_servers):
-        current = float(problem.current_power[j])
-        lower = 1.0 if (not manage_power or current >= 0.5) else 0.0
-        model.add_binary(y_name(j), lower=lower, upper=1.0)
-    for i in range(problem.n_applications):
-        for j in report.candidates_for(i):
-            model.add_binary(x_name(i, int(j)))
-
-    # Objective ---------------------------------------------------------------
-    objective_terms: dict[str, float] = {}
+    # Objective and bounds ---------------------------------------------------
+    current = problem.current_power
+    activation = dense.activation
+    active = activation != 0.0
+    c = np.zeros(n)
+    c[:n_servers] = np.where(active, activation, 0.0)
+    c[n_servers:] = dense.cost[pair_app, pair_server]
+    # Summed sequentially in server order, not pairwise: the constant enters
+    # every reported objective and bound.
     constant = 0.0
-    for i in range(problem.n_applications):
-        for j in report.candidates_for(i):
-            objective_terms[x_name(i, int(j))] = float(assign_coeff[i, int(j)])
-    if manage_power:
-        for j in range(problem.n_servers):
-            coeff = float(activation_coeff[j])
-            if coeff != 0.0:
-                objective_terms[y_name(j)] = objective_terms.get(y_name(j), 0.0) + coeff
-                constant -= coeff * float(problem.current_power[j])
-    model.set_objective(objective_terms, constant=constant)
+    for term in (activation * current)[active].tolist():
+        constant -= term
+    # Power-state consistency (Equation 4): a server that is on stays on.
+    # With power unmanaged every server counts as on (``initially_on`` is all
+    # True), which pins every y at 1.
+    lower = np.zeros(n)
+    lower[:n_servers] = np.where(dense.initially_on | (current >= 0.5), 1.0, 0.0)
 
-    # Equation 3: exactly-one assignment per placeable application -------------
-    for i in range(problem.n_applications):
-        candidates = report.candidates_for(i)
-        if len(candidates) == 0:
-            continue
-        model.add_constraint(
-            f"assign[{i}]",
-            {x_name(i, int(j)): 1.0 for j in candidates},
-            rhs=1.0,
-            equality=True,
-        )
+    # Equation 3: exactly-one assignment per placeable application -----------
+    placeable = counts > 0
+    eq_row = np.cumsum(placeable) - 1
+    n_eq = int(placeable.sum())
+    A_eq = csr_from_triplets(eq_row[pair_app], x_cols, np.ones(n_pairs), (n_eq, n))
 
-    # Equation 1: capacity per server and resource dimension -------------------
-    for j in range(problem.n_servers):
-        apps_here = [i for i in range(problem.n_applications) if report.mask[i, j]]
-        if not apps_here:
-            continue
-        resource_keys = set(problem.capacities[j].keys())
-        for i in apps_here:
-            resource_keys.update(problem.demands[i][j].keys())
-        for key in sorted(resource_keys):
-            capacity = problem.capacities[j].get(key)
-            coeffs: dict[str, float] = {}
-            for i in apps_here:
-                demand = problem.demands[i][j].get(key)
-                if demand > 0:
-                    coeffs[x_name(i, j)] = demand
-            if not coeffs:
-                continue
-            coeffs[y_name(j)] = -capacity
-            model.add_constraint(f"capacity[{j},{key}]", coeffs, rhs=0.0)
+    # Equation 1: capacity per server and resource dimension -----------------
+    capacity = dense.capacity                                        # (S, K)
+    pair_demand = dense.demand[pair_app, pair_server]                # (P, K)
+    demand_pair, demand_key = np.nonzero(pair_demand > 0)
+    has_row = np.zeros(capacity.shape, dtype=bool)
+    has_row[pair_server[demand_pair], demand_key] = True
+    row_server, row_key = np.nonzero(has_row)
+    n_capacity = len(row_server)
+    row_index = np.cumsum(has_row.ravel()).reshape(has_row.shape) - 1
 
-    # Equation 5: assignments require an active server --------------------------
-    for i in range(problem.n_applications):
-        for j in report.candidates_for(i):
-            model.add_constraint(
-                f"active[{i},{int(j)}]",
-                {x_name(i, int(j)): 1.0, y_name(int(j)): -1.0},
-                rhs=0.0,
-            )
+    # Equation 5: assignments require an active server ------------------------
+    active_rows = n_capacity + np.arange(n_pairs)
 
-    return model, report
+    n_ub = n_capacity + n_pairs
+    A_ub = csr_from_triplets(
+        np.concatenate((row_index[pair_server[demand_pair], demand_key],
+                        np.arange(n_capacity), active_rows, active_rows)),
+        np.concatenate((n_servers + demand_pair, row_server, x_cols, pair_server)),
+        np.concatenate((pair_demand[demand_pair, demand_key],
+                        -capacity[row_server, row_key],
+                        np.ones(n_pairs), -np.ones(n_pairs))),
+        (n_ub, n))
+
+    program = LinearProgram(
+        c=c, objective_constant=constant,
+        A_ub=A_ub, b_ub=np.zeros(n_ub) if n_ub else None,
+        A_eq=A_eq, b_eq=np.ones(n_eq) if n_eq else None,
+        lower=lower, upper=np.ones(n), is_binary=np.ones(n, dtype=bool))
+    return PlacementProgram(program=program, pair_app=pair_app,
+                            pair_server=pair_server, offsets=offsets)
 
 
-def assignment_groups(problem: PlacementProblem, report: FeasibilityReport) -> list[list[str]]:
-    """Exactly-one variable groups (per application) for the rounding heuristic."""
-    groups: list[list[str]] = []
-    for i in range(problem.n_applications):
-        candidates = report.candidates_for(i)
-        if len(candidates) > 0:
-            groups.append([x_name(i, int(j)) for j in candidates])
-    return groups
+def solution_from_values(problem: PlacementProblem, placement: PlacementProgram,
+                         values: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """Decode program column values into (placements, power_on).
 
-
-def solution_from_values(problem: PlacementProblem, report: FeasibilityReport,
-                         values: dict[str, float]) -> tuple[dict[str, int], np.ndarray]:
-    """Decode solver variable values into (placements, power_on) arrays."""
-    placements: dict[str, int] = {}
-    for i, app in enumerate(problem.applications):
-        for j in report.candidates_for(i):
-            if values.get(x_name(i, int(j)), 0.0) > 0.5:
-                placements[app.app_id] = int(j)
-                break
+    An application goes to its first candidate server (ascending) whose ``x``
+    exceeds 0.5. Any server hosting an application is on regardless of ``y``.
+    """
+    n_servers = problem.n_servers
+    chosen = np.flatnonzero(values[n_servers:] > 0.5)
+    apps, first = np.unique(placement.pair_app[chosen], return_index=True)
+    servers = placement.pair_server[chosen[first]]
+    applications = problem.applications
+    placements = {applications[i].app_id: j for i, j in zip(apps.tolist(), servers.tolist())}
     power_on = problem.current_power.copy()
-    for j in range(problem.n_servers):
-        if values.get(y_name(j), 0.0) > 0.5:
-            power_on[j] = 1.0
-    # Any server hosting an application must be on regardless of solver output.
-    for j in set(placements.values()):
-        power_on[j] = 1.0
+    power_on[values[:n_servers] > 0.5] = 1.0
+    power_on[servers] = 1.0
     return placements, power_on

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -289,7 +290,7 @@ class PlacementProblem:
 
         Zero outside the support mask. Built once (vectorised construction
         pre-fills it; problems assembled through the raw constructor fall back
-        to a loop deduplicated by demand-vector identity) and shared read-only
+        to a gather deduplicated by demand-vector identity) and shared read-only
         by the feasibility filter, the solver backends, and validation.
         """
         return self._dense()[2]
@@ -313,20 +314,18 @@ class PlacementProblem:
     def _dense(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         if self._dense_resources is None:
             a, s = self.n_applications, self.n_servers
-            unique: dict[int, ResourceVector] = {}
-            for row in self.demands:
-                for vec in row:
-                    unique.setdefault(id(vec), vec)
-            keys, capacity = self._dense_frame(
-                vec.keys() for vec in unique.values())
-            as_array = {vid: np.array([vec.get(key) for key in keys], dtype=float)
-                        for vid, vec in unique.items()}
-            demand = np.zeros((a, s, len(keys)))
-            for i, row in enumerate(self.demands):
-                for j, vec in enumerate(row):
-                    arr = as_array[id(vec)]
-                    if arr.any():
-                        demand[i, j] = arr
+            # One row per distinct demand object, then one gather: cells that
+            # share a ResourceVector share its row.
+            flat = list(chain.from_iterable(self.demands))
+            ids = np.fromiter(map(id, flat), dtype=np.uintp, count=len(flat))
+            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            unique = [flat[k] for k in first]
+            keys, capacity = self._dense_frame(vec.keys() for vec in unique)
+            table = np.array([[vec.get(key) for key in keys] for vec in unique],
+                             dtype=float).reshape(len(unique), len(keys))
+            # An all-zero demand (including -0.0) leaves its cells at +0.0.
+            table[~table.any(axis=1)] = 0.0
+            demand = np.take(table, inverse.ravel(), axis=0).reshape(a, s, len(keys))
             self._dense_resources = (keys, capacity, demand)
         return self._dense_resources
 

@@ -6,8 +6,9 @@ layer in two tiers:
 
 **The MILP substrate** (generic — knows nothing about carbon or placement):
 
-* :mod:`repro.solver.milp` — a small MILP model builder (variables, linear
-  constraints, linear objective) with validation helpers.
+* :mod:`repro.solver.milp` — :class:`LinearProgram`, the sparse matrix form
+  every solver below consumes, and a small named MILP model builder
+  (variables, linear constraints, linear objective) that exports to it.
 * :mod:`repro.solver.lp_relaxation` — LP relaxation solving via
   ``scipy.optimize.linprog`` (HiGHS backend).
 * :mod:`repro.solver.branch_and_bound` — best-first branch & bound over the
@@ -38,7 +39,9 @@ The registry symbols are exported lazily so that importing
 """
 
 from repro.solver.config import SolverConfig
-from repro.solver.milp import MILPModel, Variable, LinearConstraint, VariableKind
+from repro.solver.milp import (
+    LinearConstraint, LinearProgram, MILPModel, Variable, VariableKind,
+)
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.lp_relaxation import solve_lp_relaxation
 from repro.solver.branch_and_bound import BranchAndBoundSolver
@@ -46,6 +49,7 @@ from repro.solver.rounding import round_and_repair
 
 __all__ = [
     "MILPModel",
+    "LinearProgram",
     "Variable",
     "LinearConstraint",
     "VariableKind",

@@ -1,8 +1,9 @@
 """Exact backend: the placement MILP solved by branch and bound.
 
-This is the original CarbonEdge solve path — build the Equations 1–7 MILP with
-:func:`repro.core.model_builder.build_placement_model` and run the best-first
-:class:`~repro.solver.branch_and_bound.BranchAndBoundSolver` over it —
+This is the original CarbonEdge solve path — build the Equations 1–7 MILP in
+matrix form with :func:`repro.core.model_builder.build_placement_model` and run
+the best-first :class:`~repro.solver.branch_and_bound.BranchAndBoundSolver`
+over it (the per-application column ranges are its rounding groups) —
 refactored behind the :class:`~repro.solver.backend.PlacementSolver` protocol
 so it is interchangeable with the heuristic backends. The request's time
 budget caps the branch-and-bound wall clock; when the budget or node limit is
@@ -15,11 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.model_builder import (
-    assignment_groups,
-    build_placement_model,
-    solution_from_values,
-)
+from repro.core.model_builder import build_placement_model, solution_from_values
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import SolveRequest
 from repro.solver.branch_and_bound import BranchAndBoundSolver
@@ -41,19 +38,17 @@ class BranchAndBoundBackend:
 
     def solve(self, request: SolveRequest) -> PlacementSolution | None:
         problem = request.problem
-        model, report = build_placement_model(
-            problem, objective=request.objective, alpha=request.alpha,
-            report=request.report, manage_power=request.manage_power)
+        placement = build_placement_model(problem, request.dense())
         solver = BranchAndBoundSolver(
             max_nodes=request.max_nodes or DEFAULT_MAX_NODES,
             time_limit_s=request.remaining_s(default=DEFAULT_TIME_LIMIT_S),
-            rounding_groups=assignment_groups(problem, report),
+            group_offsets=placement.offsets,
         )
-        result = solver.solve(model)
+        result = solver.solve(placement.program)
         if not result.has_solution:
             return None
-        placements, power_on = solution_from_values(problem, report, result.values)
-        unplaced = [problem.applications[i].app_id for i in report.unplaceable]
+        placements, power_on = solution_from_values(problem, placement, result.values)
+        unplaced = [problem.applications[i].app_id for i in request.report.unplaceable]
         return PlacementSolution(problem=problem, placements=placements,
                                  power_on=power_on, unplaced=unplaced,
                                  solver_gap=result.gap,

@@ -106,7 +106,14 @@ class GreedyLocalSearchBackend:
     # -- local search ----------------------------------------------------------
 
     def _improve(self, request: SolveRequest, state: GreedyState) -> None:
-        """Best-improvement relocation sweeps until convergence or deadline."""
+        """Best-improvement relocation sweeps until convergence or deadline.
+
+        A pass visits the applications in index order and moves each to its
+        cheapest server when that lowers its cost. Each stride is priced at
+        once (:meth:`_best_moves`); the first application that moves is
+        moved and the rest of the stride is priced again from the new state,
+        so a pass moves exactly as a one-at-a-time sweep does.
+        """
         deadline = request.deadline(DEFAULT_LOCAL_SEARCH_BUDGET_S)
         if time.monotonic() >= deadline:
             return
@@ -114,41 +121,55 @@ class GreedyLocalSearchBackend:
         n_apps = len(state.assignment)
         for _ in range(self.max_passes):
             improved = False
-            for i in range(n_apps):
-                if i % _DEADLINE_STRIDE == 0 and time.monotonic() >= deadline:
+            for lo in range(0, n_apps, _DEADLINE_STRIDE):
+                if time.monotonic() >= deadline:
                     return
-                if self._relocate(i, state, dense):
+                hi = min(lo + _DEADLINE_STRIDE, n_apps)
+                i = lo
+                while i < hi:
+                    moves, targets = self._best_moves(np.arange(i, hi), state, dense)
+                    hits = np.flatnonzero(moves)
+                    if hits.size == 0:
+                        break
+                    i += int(hits[0])
+                    j0, j1 = int(state.assignment[i]), int(targets[hits[0]])
+                    if j0 < 0:
+                        state.place(i, j1)
+                    else:
+                        state.move(i, j0, j1)
                     improved = True
+                    i += 1
             if not improved:
                 return
 
-    def _relocate(self, i: int, state: GreedyState, dense: DenseCosts) -> bool:
-        """Move application ``i`` to the server with the best cost delta, if any."""
-        j0 = int(state.assignment[i])
-        feasible = dense.mask[i] & dense.fits(i, state.capacity_left)
-        if j0 >= 0:
-            feasible[j0] = True  # staying put is always allowed
-        if not feasible.any():
-            return False
-        served_without = state.served.copy()
-        if j0 >= 0:
-            served_without[j0] -= 1
-        # Cost of hosting i on each server, counting servers this move would
-        # newly switch on (a server only i occupies stops counting).
-        activation_pay = dense.activation * ((served_without == 0) & ~dense.initially_on)
-        candidate = np.where(feasible, dense.cost[i] + activation_pay, np.inf)
-        j1 = int(np.argmin(candidate))
-        if not np.isfinite(candidate[j1]):
-            return False
-        if j0 < 0:
-            # Placing a previously unplaced application always wins.
-            state.place(i, j1)
-            return True
-        current = dense.cost[i, j0] + activation_pay[j0]
-        if candidate[j1] >= current - 1e-9 or j1 == j0:
-            return False
-        state.move(i, j0, j1)
-        return True
+    @staticmethod
+    def _best_moves(apps: np.ndarray, state: GreedyState,
+                    dense: DenseCosts) -> tuple[np.ndarray, np.ndarray]:
+        """(moves, targets): each application's best move from the current state.
+
+        ``targets`` is the cheapest server that fits (lowest index among
+        ties), where a server the move would newly switch on costs its
+        activation too and a server only this application occupies stops
+        counting as on. An application moves when it is unplaced and the
+        target's cost is finite (placing always wins), or when the target is
+        another server cheaper than its current one by more than ``1e-9``.
+        """
+        rows = np.arange(len(apps))
+        j0 = state.assignment[apps]
+        placed = j0 >= 0
+        jp = j0[placed]
+        feasible = dense.mask[apps] & bool_all(
+            dense.demand[apps] <= state.capacity_left + 1e-9)
+        feasible[rows[placed], jp] = True  # staying put is always allowed
+        off = ~dense.initially_on
+        pay = np.tile(dense.activation * ((state.served == 0) & off), (len(apps), 1))
+        pay[rows[placed], jp] = dense.activation[jp] * ((state.served[jp] - 1 == 0) & off[jp])
+        candidate = np.where(feasible, dense.cost[apps] + pay, np.inf)
+        targets = np.argmin(candidate, axis=1)
+        best = candidate[rows, targets]
+        current = dense.cost[apps, j0] + pay[rows, j0]
+        stays = (best >= current - 1e-9) | (targets == j0)
+        return np.isfinite(best) & (~placed | ~stays), targets
 
 
 @register_backend("greedy")

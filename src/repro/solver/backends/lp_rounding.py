@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model_builder import (
+    PlacementProgram,
     build_placement_model,
     solution_from_values,
-    x_name,
 )
+from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import DenseCosts, SolveRequest, solution_from_assignment
 from repro.solver.backend import bool_all
@@ -47,26 +48,22 @@ class LPRandomizedRoundingBackend:
 
     def solve(self, request: SolveRequest) -> PlacementSolution | None:
         problem = request.problem
-        model, report = build_placement_model(
-            problem, objective=request.objective, alpha=request.alpha,
-            report=request.report, manage_power=request.manage_power)
-        relaxed = solve_lp_relaxation(model)
+        placement = build_placement_model(problem, request.dense())
+        relaxed = solve_lp_relaxation(placement.program)
         if not relaxed.has_solution:
             return None
-        if relaxed.is_integral(model.binary_names()):
-            placements, power_on = solution_from_values(problem, report, relaxed.values)
-            unplaced = [problem.applications[i].app_id for i in report.unplaceable]
+        if relaxed.is_integral(placement.program.is_binary):
+            placements, power_on = solution_from_values(problem, placement, relaxed.values)
+            unplaced = [problem.applications[i].app_id for i in request.report.unplaceable]
             return PlacementSolution(problem=problem, placements=placements,
                                      power_on=power_on, unplaced=unplaced, solver_gap=0.0)
-        return self._round(request, relaxed.values)
+        return self._round(request, self._fraction_matrix(problem, placement, relaxed.values))
 
     # -- randomized rounding ----------------------------------------------------
 
     def _round(self, request: SolveRequest,
-               values: dict[str, float]) -> PlacementSolution | None:
-        problem = request.problem
+               fractions: np.ndarray) -> PlacementSolution | None:
         dense = request.dense()
-        fractions = self._fraction_matrix(request, values)
         rng = np.random.default_rng(request.seed)
         deadline = request.deadline(DEFAULT_ROUNDING_BUDGET_S)
 
@@ -88,14 +85,13 @@ class LPRandomizedRoundingBackend:
         solution.solver_gap = float("nan")  # rounded, bound unknown
         return solution
 
-    def _fraction_matrix(self, request: SolveRequest,
-                         values: dict[str, float]) -> np.ndarray:
+    @staticmethod
+    def _fraction_matrix(problem: PlacementProblem, placement: PlacementProgram,
+                         values: np.ndarray) -> np.ndarray:
         """(A, S) fractional assignment weights from the LP solution."""
-        problem = request.problem
         fractions = np.zeros((problem.n_applications, problem.n_servers))
-        for i in range(problem.n_applications):
-            for j in request.report.candidates_for(i):
-                fractions[i, int(j)] = max(0.0, values.get(x_name(i, int(j)), 0.0))
+        fractions[placement.pair_app, placement.pair_server] = np.maximum(
+            0.0, values[problem.n_servers:])
         return fractions
 
     @staticmethod

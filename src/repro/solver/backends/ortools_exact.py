@@ -91,8 +91,8 @@ class _DenseModel:
     per placeable application, per-server/per-resource capacity with the
     power coupling, and the tie-broken cost matrix as objective — the same
     formulation :func:`repro.core.model_builder.build_placement_model` builds
-    from the sparse problem, assembled here from the tensors every backend
-    already shares.
+    as a sparse matrix for HiGHS, assembled here from the same tensors every
+    backend already shares.
     """
 
     request: SolveRequest

@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.filters import FeasibilityReport, filter_feasible_servers
+from repro.core.filters import FeasibilityReport, bool_all, filter_feasible_servers
 from repro.core.objective import (
     ObjectiveKind,
     apply_tie_break,
@@ -188,13 +188,6 @@ class DenseCosts:
     def fits(self, i: int, capacity_left: np.ndarray) -> np.ndarray:
         """(S,) bool: servers with room for application ``i`` given remaining capacity."""
         return bool_all(self.demand[i] <= capacity_left + 1e-9)
-
-
-def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
-    """All-dimensions reduction that tolerates a zero-width resource axis."""
-    if fits_per_key.shape[-1] == 0:
-        return np.ones(fits_per_key.shape[:-1], dtype=bool)
-    return np.all(fits_per_key, axis=-1)
 
 
 #: The construction deadline is polled every this many applications inside
@@ -1117,15 +1110,14 @@ class ScenarioCompilation:
         """(S,) standalone capacity fit of one class at the *baseline* capacity.
 
         Mirrors ``filter_feasible_servers``'s
-        ``np.all(demand <= capacity[None] + 1e-9, axis=-1)`` — only valid
-        while the fleet holds no allocations.
+        ``bool_all(demand <= capacity[None] + 1e-9)`` — only valid while the
+        fleet holds no allocations.
         """
         cache_key = (workload, rate, keys)
         row = self._lru_get(self._fits_rows, cache_key)
         if row is None:
             capacity = self._capacity_dense(keys)
-            row = np.all(self._dense_row(workload, rate, keys) <= capacity + 1e-9,
-                         axis=-1)
+            row = bool_all(self._dense_row(workload, rate, keys) <= capacity + 1e-9)
             self._lru_put(self._fits_rows, cache_key, row)
         return row
 

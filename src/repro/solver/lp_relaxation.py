@@ -5,43 +5,40 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.solver.milp import MILPModel
+from repro.solver.milp import LinearProgram
 from repro.solver.result import SolveResult, SolveStatus
 
 
-def solve_lp_relaxation(model: MILPModel,
-                        extra_bounds: dict[str, tuple[float, float]] | None = None) -> SolveResult:
-    """Solve the LP relaxation of a MILP model.
+def solve_lp_relaxation(program: LinearProgram,
+                        fixes: dict[int, tuple[float, float]] | None = None) -> SolveResult:
+    """Solve the LP relaxation of a program.
 
-    Binary variables are relaxed to their [lower, upper] box. ``extra_bounds``
-    overrides bounds per variable name, which is how the branch-and-bound
-    solver fixes variables along a branch.
+    Binary columns are relaxed to their [lower, upper] box. ``fixes`` narrows
+    the box per column index, which is how the branch-and-bound solver fixes
+    variables along a branch. The sparse matrices go to HiGHS as they are.
     """
-    dense = model.to_dense()
-    names: list[str] = dense["names"]  # type: ignore[assignment]
-    bounds = np.array(dense["bounds"], dtype=float)
-    if extra_bounds:
-        index = {n: i for i, n in enumerate(names)}
-        for name, (lo, hi) in extra_bounds.items():
-            if name not in index:
-                raise KeyError(f"extra bound for unknown variable {name!r}")
-            i = index[name]
-            bounds[i, 0] = max(bounds[i, 0], lo)
-            bounds[i, 1] = min(bounds[i, 1], hi)
-            if bounds[i, 0] > bounds[i, 1] + 1e-12:
+    lower, upper = program.lower, program.upper
+    if fixes:
+        lower, upper = lower.copy(), upper.copy()
+        for col, (lo, hi) in fixes.items():
+            if not 0 <= col < program.n_variables:
+                raise IndexError(f"fix for column {col} outside 0..{program.n_variables - 1}")
+            lower[col] = max(lower[col], lo)
+            upper[col] = min(upper[col], hi)
+            if lower[col] > upper[col] + 1e-12:
                 return SolveResult(status=SolveStatus.INFEASIBLE)
 
-    if len(names) == 0:
-        return SolveResult(status=SolveStatus.OPTIMAL, objective=model.objective_constant,
-                           values={}, gap=0.0)
+    if program.n_variables == 0:
+        return SolveResult(status=SolveStatus.OPTIMAL, objective=program.objective_constant,
+                           values=np.zeros(0), gap=0.0)
 
     res = linprog(
-        c=dense["c"],
-        A_ub=dense["A_ub"],
-        b_ub=dense["b_ub"],
-        A_eq=dense["A_eq"],
-        b_eq=dense["b_eq"],
-        bounds=bounds,
+        c=program.c,
+        A_ub=program.A_ub,
+        b_ub=program.b_ub,
+        A_eq=program.A_eq,
+        b_eq=program.b_eq,
+        bounds=np.column_stack((lower, upper)),
         method="highs",
     )
     if res.status == 2:
@@ -51,6 +48,5 @@ def solve_lp_relaxation(model: MILPModel,
     if not res.success:
         return SolveResult(status=SolveStatus.ERROR)
 
-    values = {name: float(v) for name, v in zip(names, res.x)}
-    objective = model.objective_constant + float(res.fun)
-    return SolveResult(status=SolveStatus.OPTIMAL, objective=objective, values=values, gap=0.0)
+    objective = program.objective_constant + float(res.fun)
+    return SolveResult(status=SolveStatus.OPTIMAL, objective=objective, values=res.x, gap=0.0)

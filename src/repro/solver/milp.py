@@ -2,14 +2,14 @@
 
 :class:`MILPModel` holds named variables (continuous or binary), linear
 ``<=`` / ``==`` constraints expressed as sparse coefficient dictionaries, and a
-linear minimisation objective. It can export itself to the dense matrix form
-``scipy.optimize.linprog`` expects, which is how the LP relaxation and the
-branch-and-bound solver consume it.
+linear minimisation objective, with validation so malformed models fail
+loudly at build time. :meth:`MILPModel.to_program` exports it to a
+:class:`LinearProgram`: the sparse matrix form ``scipy.optimize.linprog``
+takes, which is what the LP relaxation, branch and bound and rounding consume.
 
-The model is deliberately minimal: it supports exactly what the CarbonEdge
-placement formulation (Equations 1–7 and the multi-objective Equation 8)
-needs, with validation so malformed models fail loudly at build time rather
-than producing silently-wrong placements.
+The placement formulation (Equations 1–7) does not go through the named
+builder: :func:`repro.core.model_builder.build_placement_model` assembles its
+:class:`LinearProgram` directly from the problem's dense tensors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,62 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
+
+
+def csr_from_triplets(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                      shape: tuple[int, int]) -> csr_array | None:
+    """CSR matrix from COO triplets, exact zeros dropped; ``None`` without rows.
+
+    Indices take the narrowest dtype scipy would choose itself (int32 unless
+    the matrix is too large), so the CSC that ``linprog`` derives from it is
+    the same one it derives from an equal dense matrix.
+    """
+    if shape[0] == 0:
+        return None
+    keep = data != 0.0
+    index = np.int32 if max(*shape, len(data)) <= np.iinfo(np.int32).max else np.int64
+    coords = (rows[keep].astype(index), cols[keep].astype(index))
+    return coo_array((data[keep], coords), shape=shape).tocsr()
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """A MILP in matrix form.
+
+    Minimise ``c @ x + objective_constant`` subject to ``A_ub @ x <= b_ub``,
+    ``A_eq @ x == b_eq`` and ``lower <= x <= upper``, with ``x[is_binary]``
+    integral. Either constraint block is ``None`` when it has no rows. These
+    are the arrays ``scipy.optimize.linprog`` takes unchanged (and, with
+    ``integrality=is_binary``, ``scipy.optimize.milp``).
+    """
+
+    c: np.ndarray
+    objective_constant: float
+    A_ub: csr_array | None
+    b_ub: np.ndarray | None
+    A_eq: csr_array | None
+    b_eq: np.ndarray | None
+    lower: np.ndarray
+    upper: np.ndarray
+    is_binary: np.ndarray
+
+    @property
+    def n_variables(self) -> int:
+        """Number of columns."""
+        return len(self.c)
+
+    def objective_value(self, x: np.ndarray) -> float:
+        """Objective value of an assignment."""
+        return self.objective_constant + float(self.c @ x)
+
+    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
+        """Whether ``x`` satisfies every constraint and bound within ``tol``."""
+        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
+            return False
+        if self.A_ub is not None and np.any(self.A_ub @ x > self.b_ub + tol):
+            return False
+        return self.A_eq is None or bool(np.all(np.abs(self.A_eq @ x - self.b_eq) <= tol))
 
 
 class VariableKind(Enum):
@@ -59,7 +115,13 @@ class LinearConstraint:
 
 @dataclass
 class MILPModel:
-    """A linear minimisation model over named variables."""
+    """A linear minimisation model over named variables.
+
+    Public API of :mod:`repro.solver` for small hand-written models: build
+    by name, then :meth:`to_program` gives the :class:`LinearProgram` the
+    solvers take. The placement path does not use it; it builds its
+    program in matrix form directly.
+    """
 
     name: str = "model"
     variables: dict[str, Variable] = field(default_factory=dict)
@@ -120,21 +182,20 @@ class MILPModel:
         return len(self.constraints)
 
     def variable_names(self) -> list[str]:
-        """Variable names in insertion order (the dense column order)."""
+        """Variable names in insertion order (the column order)."""
         return list(self.variables)
 
     def binary_names(self) -> list[str]:
         """Names of binary variables in insertion order."""
         return [n for n, v in self.variables.items() if v.kind is VariableKind.BINARY]
 
-    # -- dense export -----------------------------------------------------------
+    # -- matrix export -----------------------------------------------------------
 
-    def to_dense(self) -> dict[str, np.ndarray | list[str]]:
-        """Export to the arrays ``scipy.optimize.linprog`` expects.
+    def to_program(self) -> LinearProgram:
+        """Export to matrix form, columns in insertion order.
 
-        Returns a dict with keys ``c`` (objective), ``A_ub``/``b_ub``,
-        ``A_eq``/``b_eq`` (either may be None), ``bounds`` (N×2), and
-        ``names`` (column order).
+        Constraint rows keep their insertion order within the ``<=`` and
+        ``==`` blocks. Coefficients of exactly zero are dropped.
         """
         names = self.variable_names()
         index = {n: i for i, n in enumerate(names)}
@@ -144,32 +205,19 @@ class MILPModel:
         for var, coeff in self.objective.items():
             c[index[var]] = coeff
 
-        bounds = np.zeros((n, 2))
-        for i, name in enumerate(names):
-            var = self.variables[name]
-            bounds[i] = (var.lower, var.upper)
-
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for con in self.constraints:
-            row = np.zeros(n)
-            for var, coeff in con.coefficients.items():
-                row[index[var]] = coeff
-            if con.equality:
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-            else:
-                ub_rows.append(row)
-                ub_rhs.append(con.rhs)
-
-        return {
-            "c": c,
-            "A_ub": np.vstack(ub_rows) if ub_rows else None,
-            "b_ub": np.asarray(ub_rhs) if ub_rhs else None,
-            "A_eq": np.vstack(eq_rows) if eq_rows else None,
-            "b_eq": np.asarray(eq_rhs) if eq_rhs else None,
-            "bounds": bounds,
-            "names": names,
-        }
+        A_ub, b_ub = _constraint_block(
+            [con for con in self.constraints if not con.equality], index, n)
+        A_eq, b_eq = _constraint_block(
+            [con for con in self.constraints if con.equality], index, n)
+        variables = list(self.variables.values())
+        return LinearProgram(
+            c=c, objective_constant=self.objective_constant,
+            A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+            lower=np.array([v.lower for v in variables], dtype=float),
+            upper=np.array([v.upper for v in variables], dtype=float),
+            is_binary=np.array([v.kind is VariableKind.BINARY for v in variables],
+                               dtype=bool),
+        )
 
     # -- evaluation --------------------------------------------------------------
 
@@ -198,3 +246,16 @@ class MILPModel:
     def is_feasible(self, values: dict[str, float], tol: float = 1e-6) -> bool:
         """Whether an assignment satisfies every constraint and bound."""
         return not self.constraint_violations(values, tol=tol)
+
+
+def _constraint_block(constraints: list[LinearConstraint], index: dict[str, int],
+                      n: int) -> tuple[csr_array | None, np.ndarray | None]:
+    """(A, b) of one constraint block, or ``(None, None)`` when it is empty."""
+    if not constraints:
+        return None, None
+    rows = [r for r, con in enumerate(constraints) for _ in con.coefficients]
+    cols = [index[var] for con in constraints for var in con.coefficients]
+    data = [coeff for con in constraints for coeff in con.coefficients.values()]
+    matrix = csr_from_triplets(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                               np.array(data, dtype=float), (len(constraints), n))
+    return matrix, np.array([con.rhs for con in constraints], dtype=float)

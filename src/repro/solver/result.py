@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,7 +34,7 @@ class SolveResult:
     objective:
         Objective value of the returned assignment (NaN when no solution).
     values:
-        Mapping of variable name to value (empty when no solution).
+        Column values of the program (``None`` when no solution).
     gap:
         Relative optimality gap of the incumbent (0 for proven optimal,
         NaN when unknown).
@@ -48,25 +48,19 @@ class SolveResult:
 
     status: SolveStatus
     objective: float = float("nan")
-    values: dict[str, float] = field(default_factory=dict)
+    values: np.ndarray | None = None
     gap: float = float("nan")
     bound: float = float("nan")
     nodes_explored: int = 0
 
     @property
     def has_solution(self) -> bool:
-        """Whether the result carries a usable assignment."""
-        return self.status.has_solution and bool(self.values)
+        """Whether the result carries a usable assignment (possibly of zero columns)."""
+        return self.status.has_solution and self.values is not None
 
-    def value(self, name: str, default: float = 0.0) -> float:
-        """Value of a variable by name (``default`` when absent)."""
-        return self.values.get(name, default)
-
-    def binary_value(self, name: str, threshold: float = 0.5) -> bool:
-        """Value of a binary variable as a bool."""
-        return self.value(name) > threshold
-
-    def is_integral(self, names: list[str], tol: float = 1e-6) -> bool:
-        """Whether all named variables take integral values within ``tol``."""
-        vals = np.array([self.value(n) for n in names], dtype=float)
+    def is_integral(self, columns: np.ndarray, tol: float = 1e-6) -> bool:
+        """Whether the selected columns (indices or a mask) are integral within ``tol``."""
+        if self.values is None:
+            return False
+        vals = self.values[columns]
         return bool(np.all(np.abs(vals - np.round(vals)) <= tol))

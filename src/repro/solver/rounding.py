@@ -4,125 +4,105 @@ When the LP relaxation of the placement MILP comes back fractional (or when
 the branch-and-bound node budget is exhausted), :func:`round_and_repair`
 produces a feasible integral assignment: binary variables are rounded by a
 priority order (largest fractional value first), each tentative rounding is
-checked against the model's constraints, and infeasible roundings fall back to
-0. The result is not guaranteed optimal, only feasible — callers report it
+checked against the program's constraints, and infeasible roundings fall back
+to 0. The result is not guaranteed optimal, only feasible — callers report it
 with :class:`~repro.solver.result.SolveStatus.FEASIBLE`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.solver.milp import MILPModel
+from repro.solver.milp import LinearProgram
 from repro.solver.result import SolveResult, SolveStatus
 
 
-def round_and_repair(model: MILPModel, fractional: dict[str, float],
-                     groups: list[list[str]] | None = None) -> SolveResult:
+def round_and_repair(program: LinearProgram, fractional: np.ndarray,
+                     groups: Sequence[np.ndarray] | None = None) -> SolveResult:
     """Round a fractional solution to a feasible integral one.
 
     Parameters
     ----------
-    model:
-        The MILP model whose constraints must hold.
+    program:
+        The program whose constraints must hold.
     fractional:
-        Fractional variable values (e.g. from the LP relaxation).
+        Fractional column values (e.g. from the LP relaxation).
     groups:
-        Optional list of variable-name groups with an "exactly one of these"
-        semantic (the placement's per-application assignment rows). Within a
-        group the variable with the highest fractional value that keeps the
-        model feasible is set to 1 and the rest to 0. Variables outside any
-        group are rounded greedily.
+        Optional column-index groups with an "exactly one of these" semantic
+        (the placement's per-application assignment rows). Within a group the
+        column with the highest fractional value that keeps the program
+        feasible is set to 1 and the rest to 0. Binaries outside any group are
+        rounded to the nearest integer.
     """
-    values: dict[str, float] = {}
-    binary_names = set(model.binary_names())
-
-    # Continuous variables keep their fractional values.
-    for name, val in fractional.items():
-        if name not in binary_names:
-            values[name] = float(val)
-
-    grouped: set[str] = set()
-    groups = groups or []
+    groups = [np.asarray(g, dtype=np.intp) for g in groups or ()]
+    fractional = np.asarray(fractional, dtype=float)
+    values = fractional.copy()
+    ungrouped = program.is_binary.copy()
     for group in groups:
-        grouped.update(group)
+        ungrouped[group] = False
+        values[group] = 0.0  # a group counts as unassigned until its turn
+    values[ungrouped] = np.round(values[ungrouped])
 
-    # Ungrouped binaries: round to the nearest integer first, repair later.
-    for name in binary_names - grouped:
-        values[name] = float(round(fractional.get(name, 0.0)))
-
-    # Grouped binaries: pick the best member per group.
+    ub = program.A_ub
+    by_column = ub.tocsc() if ub is not None else None
+    supports = _support_columns(program)
     for group in groups:
-        ranked = sorted(group, key=lambda n: -fractional.get(n, 0.0))
-        for name in group:
-            values[name] = 0.0
-        chosen = None
+        ranked = group[np.argsort(-fractional[group], kind="stable")]
         for candidate in ranked:
             values[candidate] = 1.0
-            _activate_supports(model, values, candidate)
-            if _group_feasible(model, values, candidate):
-                chosen = candidate
+            if by_column is None:
+                break
+            start, stop = by_column.indptr[candidate], by_column.indptr[candidate + 1]
+            rows = by_column.indices[start:stop]
+            # Turn on the single binary each ``x <= y`` style row makes a
+            # prerequisite of the candidate.
+            for support in supports[rows[by_column.data[start:stop] > 0.0]]:
+                if support >= 0 and values[support] < 1.0:
+                    values[support] = max(1.0, program.lower[support])
+            # Cheap local check: only the <= rows that involve the candidate.
+            if np.all(ub[rows] @ values <= program.b_ub[rows] + 1e-6):
                 break
             values[candidate] = 0.0
-        if chosen is None:
-            # No member keeps the model feasible: leave the group unassigned;
+        else:
+            # No member keeps the program feasible: leave the group unassigned;
             # the caller treats this as an infeasible rounding.
             return SolveResult(status=SolveStatus.INFEASIBLE)
 
-    violations = model.constraint_violations(values)
-    if violations:
+    if not program.is_feasible(values):
         return SolveResult(status=SolveStatus.INFEASIBLE)
     return SolveResult(status=SolveStatus.FEASIBLE,
-                       objective=model.objective_value(values), values=values)
+                       objective=program.objective_value(values), values=values)
 
 
-def _activate_supports(model: MILPModel, values: dict[str, float], candidate: str) -> None:
-    """Turn on any binary whose constraint links it as a prerequisite of ``candidate``.
+def _support_columns(program: LinearProgram) -> np.ndarray:
+    """(m_ub,) the prerequisite column of each ``<= 0`` row, or -1.
 
-    The placement model encodes ``x_ij <= y_j`` style coupling constraints; when
+    The placement program encodes ``x_ij <= y_j`` style coupling; when
     rounding sets an ``x`` to 1 the corresponding ``y`` must also be 1 for the
-    assignment to stand a chance of being feasible. We detect such constraints
-    structurally: a <=0 row with +1 on the candidate and a single negative
-    coefficient on another binary.
+    assignment to stand a chance of being feasible. Such rows are detected
+    structurally: a ``<= 0`` row with a single negative coefficient, on a
+    binary column.
     """
-    binary_names = set(model.binary_names())
-    for con in model.constraints:
-        if con.equality or con.rhs != 0.0:
-            continue
-        coeffs = con.coefficients
-        if coeffs.get(candidate, 0.0) <= 0.0:
-            continue
-        negatives = [(n, c) for n, c in coeffs.items() if c < 0 and n in binary_names]
-        if len(negatives) == 1:
-            support, _ = negatives[0]
-            lower = model.variables[support].lower
-            values[support] = max(1.0, lower) if values.get(support, 0.0) < 1.0 else values[support]
+    ub = program.A_ub
+    if ub is None:
+        return np.zeros(0, dtype=np.intp)
+    row_of = np.repeat(np.arange(ub.shape[0]), np.diff(ub.indptr))
+    negative = (ub.data < 0.0) & program.is_binary[ub.indices]
+    count = np.bincount(row_of[negative], minlength=ub.shape[0])
+    supports = np.full(ub.shape[0], -1, dtype=np.intp)
+    supports[row_of[negative]] = ub.indices[negative]
+    supports[(count != 1) | (program.b_ub != 0.0)] = -1
+    return supports
 
 
-def _group_feasible(model: MILPModel, values: dict[str, float], candidate: str) -> bool:
-    """Check only the constraints that involve ``candidate`` (cheap local check)."""
-    for con in model.constraints:
-        if candidate not in con.coefficients:
-            continue
-        lhs = sum(c * values.get(v, 0.0) for v, c in con.coefficients.items())
-        if con.equality:
-            continue  # equality rows (assignment rows) are finalised at the end
-        if lhs > con.rhs + 1e-6:
-            return False
-    return True
+def fractional_binaries(values: np.ndarray, is_binary: np.ndarray,
+                        tol: float = 1e-6) -> np.ndarray:
+    """Binary columns with fractional values, most fractional first.
 
-
-def fractional_binaries(result_values: dict[str, float], binary_names: list[str],
-                        tol: float = 1e-6) -> list[str]:
-    """Names of binary variables with fractional values, most fractional first."""
-    out = [(abs(result_values.get(n, 0.0) - round(result_values.get(n, 0.0))), n)
-           for n in binary_names]
-    return [n for frac, n in sorted(out, reverse=True) if frac > tol]
-
-
-def integrality_gap(values: dict[str, float], binary_names: list[str]) -> float:
-    """Largest distance of any binary variable from an integer."""
-    if not binary_names:
-        return 0.0
-    arr = np.array([values.get(n, 0.0) for n in binary_names])
-    return float(np.abs(arr - np.round(arr)).max())
+    Equally fractional columns keep ascending column order.
+    """
+    frac = np.abs(values - np.round(values))
+    columns = np.flatnonzero(is_binary & (frac > tol))
+    return columns[np.argsort(-frac[columns], kind="stable")]

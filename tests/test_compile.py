@@ -1,8 +1,11 @@
 """Tests for the scenario compilation layer (repro.solver.compile)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cluster.resources import ResourceVector
 from repro.core.objective import ObjectiveKind
 from repro.core.policies import (
     CarbonEdgePolicy,
@@ -110,6 +113,36 @@ def test_problem_dense_resource_tensors(central_eu_problem):
             vec = problem.demands[i][j]
             for ki, key in enumerate(keys):
                 assert demand[i, j, ki] == vec.get(key)
+
+
+def test_dense_fallback_matches_the_build_prefill(central_eu_problem):
+    """A problem without its build-time tensors rebuilds them from
+    ``demands`` (one row per distinct demand object, then one gather) to the
+    same bytes."""
+    fresh = dataclasses.replace(central_eu_problem)
+    assert fresh.resource_keys() == central_eu_problem.resource_keys()
+    assert fresh.capacity_dense().tobytes() == central_eu_problem.capacity_dense().tobytes()
+    assert fresh.demand_dense().tobytes() == central_eu_problem.demand_dense().tobytes()
+
+
+def test_dense_fallback_zero_and_nan_demands(central_eu_problem):
+    """An all-zero demand (even ``-0.0``) leaves its cell at ``+0.0``; any
+    other demand, ``nan`` included, is copied as it is."""
+    first, second = central_eu_problem.resource_keys()[:2]
+    demands = [list(row) for row in central_eu_problem.demands]
+    demands[0][0] = ResourceVector({first: -0.0})
+    demands[0][1] = ResourceVector({first: -0.0, second: 1.0})
+    demands[1][0] = ResourceVector({first: float("nan")})
+    problem = dataclasses.replace(central_eu_problem, demands=demands)
+    keys, demand = problem.resource_keys(), problem.demand_dense()
+    for i, row in enumerate(demands):
+        for j, vec in enumerate(row):
+            expected = np.array([vec.get(key) for key in keys], dtype=float)
+            if not expected.any():
+                expected = np.zeros(len(keys))
+            assert demand[i, j].tobytes() == expected.tobytes(), (i, j)
+    assert np.signbit(demand[0, 1, keys.index(first)])
+    assert not np.signbit(demand[0, 0]).any()
 
 
 def test_app_indices_vectorised_lookup(central_eu_problem):

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.filters import filter_feasible_servers
-from repro.core.model_builder import (
-    assignment_groups,
-    build_placement_model,
-    solution_from_values,
-    x_name,
-    y_name,
-)
+from repro.core.model_builder import build_placement_model, solution_from_values
 from repro.core.objective import (
     ObjectiveKind,
     carbon_objective_coefficients,
@@ -20,6 +13,7 @@ from repro.core.objective import (
     objective_coefficients,
 )
 from repro.solver.branch_and_bound import BranchAndBoundSolver
+from repro.solver.compile import compile_placement
 from repro.solver.lp_relaxation import solve_lp_relaxation
 
 
@@ -67,23 +61,28 @@ def test_objective_dispatch(central_eu_problem):
 
 
 def test_model_structure(central_eu_problem):
-    model, report = build_placement_model(central_eu_problem)
+    placement = build_placement_model(central_eu_problem)
+    program, report = placement.program, compile_placement(central_eu_problem).report
+    n_servers = central_eu_problem.n_servers
     # One y per server plus one x per feasible pair.
-    assert model.n_variables == central_eu_problem.n_servers + report.n_candidate_pairs
-    assign_rows = [c for c in model.constraints if c.name.startswith("assign")]
-    assert len(assign_rows) == central_eu_problem.n_applications
-    assert all(c.equality for c in assign_rows)
+    assert program.n_variables == n_servers + report.n_candidate_pairs
+    # One equality (assignment) row per application, over exactly its columns.
+    assert program.A_eq.shape == (central_eu_problem.n_applications, program.n_variables)
+    assert np.all(program.b_eq == 1.0)
+    for i in range(central_eu_problem.n_applications):
+        row = program.A_eq[[i]].tocoo()
+        assert row.coords[1].tolist() == list(range(placement.offsets[i],
+                                                     placement.offsets[i + 1]))
+        assert np.all(row.data == 1.0)
     # Servers already on have their y lower bound pinned to 1 (Equation 4).
-    for j in range(central_eu_problem.n_servers):
-        assert model.variables[y_name(j)].lower == 1.0
+    assert np.all(program.lower[:n_servers] == 1.0)
 
 
 def test_model_solution_decoding(central_eu_problem):
-    model, report = build_placement_model(central_eu_problem)
-    result = BranchAndBoundSolver(rounding_groups=assignment_groups(central_eu_problem, report)
-                                  ).solve(model)
+    placement = build_placement_model(central_eu_problem)
+    result = BranchAndBoundSolver(group_offsets=placement.offsets).solve(placement.program)
     assert result.has_solution
-    placements, power_on = solution_from_values(central_eu_problem, report, result.values)
+    placements, power_on = solution_from_values(central_eu_problem, placement, result.values)
     assert len(placements) == central_eu_problem.n_applications
     assert power_on.shape == (central_eu_problem.n_servers,)
     # Every used server is powered on in the decoded solution.
@@ -92,28 +91,39 @@ def test_model_solution_decoding(central_eu_problem):
 
 
 def test_model_lp_relaxation_is_integral_for_assignment_structure(central_eu_problem):
-    model, _ = build_placement_model(central_eu_problem)
-    relaxed = solve_lp_relaxation(model)
+    program = build_placement_model(central_eu_problem).program
+    relaxed = solve_lp_relaxation(program)
     assert relaxed.status.has_solution
-    assert relaxed.is_integral(model.binary_names(), tol=1e-6)
+    assert relaxed.is_integral(program.is_binary, tol=1e-6)
 
 
 def test_model_without_power_management(central_eu_problem):
-    model, _ = build_placement_model(central_eu_problem, manage_power=False)
-    # No activation terms on y variables: their objective coefficients are absent.
-    for j in range(central_eu_problem.n_servers):
-        assert y_name(j) not in model.objective
-    assert model.objective_constant == 0.0
+    dense = compile_placement(central_eu_problem).dense(manage_power=False)
+    program = build_placement_model(central_eu_problem, dense).program
+    n_servers = central_eu_problem.n_servers
+    # No activation terms on y columns: their objective coefficients are zero.
+    assert np.all(program.c[:n_servers] == 0.0)
+    assert program.objective_constant == 0.0
+    assert np.all(program.lower[:n_servers] == 1.0)
 
 
-def test_assignment_groups_cover_feasible_apps(central_eu_problem):
-    report = filter_feasible_servers(central_eu_problem)
-    groups = assignment_groups(central_eu_problem, report)
-    assert len(groups) == central_eu_problem.n_applications - len(report.unplaceable)
-    for i, group in enumerate(groups):
-        assert all(name.startswith("x[") for name in group)
+def test_offsets_cover_feasible_apps(central_eu_problem):
+    placement = build_placement_model(central_eu_problem)
+    report, offsets = compile_placement(central_eu_problem).report, placement.offsets
+    sizes = np.diff(offsets)
+    assert len(offsets) == central_eu_problem.n_applications + 1
+    assert int((sizes > 0).sum()) == central_eu_problem.n_applications - len(report.unplaceable)
+    assert offsets[0] == central_eu_problem.n_servers
+    assert offsets[-1] == placement.program.n_variables
+    for i in range(central_eu_problem.n_applications):
+        # Every column of an application's range is one of its x columns.
+        pairs = np.arange(offsets[i], offsets[i + 1]) - central_eu_problem.n_servers
+        assert np.all(placement.pair_app[pairs] == i)
+        assert placement.pair_server[pairs].tolist() == report.candidates_for(i).tolist()
 
 
-def test_x_y_names_are_stable():
-    assert x_name(3, 7) == "x[3,7]"
-    assert y_name(2) == "y[2]"
+def test_column_layout_is_servers_then_mask_pairs(central_eu_problem):
+    placement = build_placement_model(central_eu_problem)
+    pair_app, pair_server = np.nonzero(compile_placement(central_eu_problem).report.mask)
+    assert placement.pair_app.tolist() == pair_app.tolist()
+    assert placement.pair_server.tolist() == pair_server.tolist()

@@ -13,6 +13,8 @@ randomized dense instances and on randomized
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -25,6 +27,7 @@ from repro.datasets.cities import default_city_catalog
 from repro.datasets.regions import CENTRAL_EU
 from repro.network.latency import build_latency_matrix
 from repro.solver.backend import SolveRequest
+from repro.solver.backends import heuristic
 from repro.solver.compile import (
     DenseCosts,
     GreedyState,
@@ -205,6 +208,68 @@ def test_cold_speculative_schedule_is_bit_identical_to_naive_loop(instance):
     # float subtraction sequence exactly.
     assert np.array_equal(naive.capacity_left, auto.capacity_left)
     assert np.array_equal(naive.served, auto.served)
+
+
+class _NoDeadline:
+    """The one request attribute the local search reads: an unbounded budget."""
+
+    @staticmethod
+    def deadline(default_budget_s: float) -> float:
+        return float("inf")
+
+
+def _relocate_one(i: int, state: GreedyState) -> bool:
+    """Reference relocation step: move application ``i`` to its best server."""
+    dense = state.dense
+    j0 = int(state.assignment[i])
+    feasible = dense.mask[i] & dense.fits(i, state.capacity_left)
+    if j0 >= 0:
+        feasible[j0] = True
+    if not feasible.any():
+        return False
+    served_without = state.served.copy()
+    if j0 >= 0:
+        served_without[j0] -= 1
+    activation_pay = dense.activation * ((served_without == 0) & ~dense.initially_on)
+    candidate = np.where(feasible, dense.cost[i] + activation_pay, np.inf)
+    j1 = int(np.argmin(candidate))
+    if not np.isfinite(candidate[j1]):
+        return False
+    if j0 < 0:
+        state.place(i, j1)
+        return True
+    current = dense.cost[i, j0] + activation_pay[j0]
+    if candidate[j1] >= current - 1e-9 or j1 == j0:
+        return False
+    state.move(i, j0, j1)
+    return True
+
+
+@settings(max_examples=300, **COMMON)
+@given(dense_instances(), st.booleans(), st.sampled_from([2, 3, 64]),
+       st.sampled_from([1, 8]))
+def test_strided_local_search_matches_one_at_a_time_sweep(instance, fill, stride,
+                                                          passes):
+    """The local search prices each stride of applications at once; it must
+    move exactly as the sweep that relocates one application at a time, down
+    to the float order of ``capacity_left``. Warm-started states (random
+    seeds, unplaced apps, inf costs, negative activations) make moves common;
+    small strides put the stride boundaries inside the instance, and a single
+    pass shows a skipped move that later passes would repair."""
+    state, energy = instance
+    if fill:
+        greedy_fill(state, energy)
+    backend = heuristic.GreedyLocalSearchBackend(max_passes=passes)
+    reference = state.clone()
+    for _ in range(backend.max_passes):
+        if not any([_relocate_one(i, reference) for i in range(len(reference.assignment))]):
+            break
+    strided = state.clone()
+    with patch.object(heuristic, "_DEADLINE_STRIDE", stride):
+        backend._improve(_NoDeadline(), strided)
+    assert np.array_equal(reference.assignment, strided.assignment)
+    assert reference.capacity_left.tobytes() == strided.capacity_left.tobytes()
+    assert np.array_equal(reference.served, strided.served)
 
 
 # — wave-vectorised reconciliation -------------------------------------------

@@ -169,6 +169,69 @@ def test_heuristic_respects_capacity_on_tight_instance():
     assert float(np.sum(solution.power_on)) == 3.0
 
 
+# -- the exact tier's fractional path ---------------------------------------------
+
+def _fractional_root_problem() -> PlacementProblem:
+    """Two unit apps; the green server fits 1.5 of them, a dirtier one both.
+
+    The LP relaxation splits the second app between the servers, so the
+    root is fractional and branch and bound has to round and branch.
+    """
+    from repro.workloads.application import Application
+
+    apps = [Application(app_id=f"a{i}", workload="ResNet50", source_site="s0",
+                        latency_slo_ms=100.0, request_rate_rps=1.0)
+            for i in range(2)]
+    return PlacementProblem(
+        applications=apps, servers=[_FakeServer("green"), _FakeServer("dirty")],
+        latency_ms=np.zeros((2, 2)), energy_j=np.full((2, 2), 3.6e6),
+        demands=[[ResourceVector.of(cpu_cores=1.0)] * 2 for _ in range(2)],
+        intensity=np.array([100.0, 400.0]),
+        capacities=[ResourceVector.of(cpu_cores=1.5), ResourceVector.of(cpu_cores=2.0)],
+        base_power_w=np.full(2, 100.0), current_power=np.zeros(2), horizon_hours=1.0)
+
+
+def _augmented_objective(request: SolveRequest, solution) -> float:
+    """The tie-broken program objective of a solution (what the bound bounds)."""
+    dense = request.dense()
+    problem = request.problem
+    cost = sum(dense.cost[problem.app_index(a), j] for a, j in solution.placements.items())
+    newly_on = (np.asarray(solution.power_on) > 0.5) & ~dense.initially_on
+    return float(cost + dense.activation[newly_on].sum())
+
+
+def test_fractional_root_fixture_is_fractional():
+    from repro.core.model_builder import build_placement_model
+    from repro.solver.lp_relaxation import solve_lp_relaxation
+
+    program = build_placement_model(_fractional_root_problem()).program
+    root = solve_lp_relaxation(program)
+    assert root.has_solution
+    assert not root.is_integral(program.is_binary)
+
+
+@pytest.mark.parametrize("max_nodes", [1, 3, 200])
+@pytest.mark.parametrize("backend", ["bnb", "lp-round"])
+def test_fractional_root_solves_are_valid(backend, max_nodes):
+    problem = _fractional_root_problem()
+    request = SolveRequest(problem=problem, max_nodes=max_nodes)
+    solution = registry.get_backend(backend).solve(request)
+    assert solution is not None
+    validate_solution(solution, strict=True)
+    assert solution.all_placed
+    if backend == "lp-round":
+        # A rounded answer claims no bound.
+        assert np.isnan(solution.solver_gap)
+        return
+    objective = _augmented_objective(request, solution)
+    assert solution.solver_bound <= objective + 1e-9
+    if max_nodes == 200:
+        assert solution.solver_gap == 0.0
+        assert solution.solver_bound == pytest.approx(objective)
+        # Optimum: one app per server (splitting beats doubling up on dirty).
+        assert sorted(solution.placements.values()) == [0, 1]
+
+
 def test_heuristic_prefers_green_servers_under_activation():
     # 2 apps fit on one server: the heuristic should consolidate on the
     # lowest-intensity server rather than activating several.

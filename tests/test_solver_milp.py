@@ -62,23 +62,48 @@ def test_counts_and_binary_names():
     assert model.binary_names() == ["a", "b"]
 
 
-def test_to_dense_shapes():
+def test_to_program_shapes():
     model = _knapsack_model()
     model.add_constraint("eq", {"a": 1.0, "b": 1.0}, rhs=1.0, equality=True)
-    dense = model.to_dense()
-    assert dense["c"].shape == (2,)
-    assert dense["A_ub"].shape == (1, 2)
-    assert dense["A_eq"].shape == (1, 2)
-    assert dense["bounds"].shape == (2, 2)
-    assert dense["names"] == ["a", "b"]
+    program = model.to_program()
+    assert program.c.tolist() == [-3.0, -4.0]
+    assert program.A_ub.shape == (1, 2)
+    assert program.A_ub.toarray().tolist() == [[2.0, 3.0]]
+    assert program.b_ub.tolist() == [4.0]
+    assert program.A_eq.shape == (1, 2)
+    assert program.b_eq.tolist() == [1.0]
+    assert program.lower.tolist() == [0.0, 0.0]
+    assert program.upper.tolist() == [1.0, 1.0]
+    assert program.is_binary.tolist() == [True, True]
+    assert model.variable_names() == ["a", "b"]
 
 
-def test_to_dense_without_constraints():
+def test_to_program_without_constraints():
     model = MILPModel()
     model.add_variable("x")
     model.set_objective({"x": 1.0})
-    dense = model.to_dense()
-    assert dense["A_ub"] is None and dense["A_eq"] is None
+    program = model.to_program()
+    assert program.A_ub is None and program.A_eq is None
+    assert program.b_ub is None and program.b_eq is None
+    assert program.is_binary.tolist() == [False]
+
+
+def test_to_program_drops_exact_zero_coefficients():
+    model = _knapsack_model()
+    model.add_constraint("zero", {"a": 0.0, "b": -0.0}, rhs=1.0)
+    program = model.to_program()
+    assert program.A_ub.shape == (2, 2)
+    assert program.A_ub.nnz == 2
+
+
+def test_program_feasibility_matches_named_model():
+    model = _knapsack_model()
+    program = model.to_program()
+    for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0)):
+        values = {"a": a, "b": b}
+        assert program.is_feasible(np.array([a, b])) == model.is_feasible(values)
+        assert program.objective_value(np.array([a, b])) == \
+            pytest.approx(model.objective_value(values))
 
 
 def test_objective_value_and_constant():

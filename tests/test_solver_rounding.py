@@ -1,10 +1,11 @@
 """LP rounding / repair tests."""
 
+import numpy as np
 import pytest
 
 from repro.solver.milp import MILPModel
 from repro.solver.result import SolveResult, SolveStatus
-from repro.solver.rounding import fractional_binaries, integrality_gap, round_and_repair
+from repro.solver.rounding import fractional_binaries, round_and_repair
 
 
 def _assignment_model():
@@ -25,18 +26,27 @@ def _assignment_model():
     return model
 
 
+def _named(model, values):
+    """Column values keyed by variable name."""
+    return dict(zip(model.variable_names(), values.tolist()))
+
+
 def test_round_and_repair_respects_groups_and_capacity():
     model = _assignment_model()
-    fractional = {"x[0,0]": 0.5, "x[0,1]": 0.5, "x[1,0]": 0.5, "x[1,1]": 0.5,
-                  "y[0]": 1.0, "y[1]": 1.0}
-    groups = [["x[0,0]", "x[0,1]"], ["x[1,0]", "x[1,1]"]]
-    result = round_and_repair(model, fractional, groups=groups)
+    # Columns: x[0,0], x[0,1], x[1,0], x[1,1], y[0], y[1].
+    fractional = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
+    groups = [np.array([0, 1]), np.array([2, 3])]
+    program = model.to_program()
+    result = round_and_repair(program, fractional, groups=groups)
     assert result.status is SolveStatus.FEASIBLE
-    assert model.is_feasible(result.values)
+    values = _named(model, result.values)
+    assert model.is_feasible(values)
+    assert program.is_feasible(result.values)
     # Exactly one server per app, and not both on the same server.
-    assert result.value("x[0,0]") + result.value("x[0,1]") == pytest.approx(1.0)
-    assert result.value("x[1,0]") + result.value("x[1,1]") == pytest.approx(1.0)
-    assert result.value("x[0,0]") + result.value("x[1,0]") <= 1.0 + 1e-9
+    assert values["x[0,0]"] + values["x[0,1]"] == pytest.approx(1.0)
+    assert values["x[1,0]"] + values["x[1,1]"] == pytest.approx(1.0)
+    assert values["x[0,0]"] + values["x[1,0]"] <= 1.0 + 1e-9
+    assert result.objective == pytest.approx(model.objective_value(values))
 
 
 def test_round_and_repair_reports_infeasible_group():
@@ -44,7 +54,7 @@ def test_round_and_repair_reports_infeasible_group():
     model.add_binary("x")
     model.add_constraint("never", {"x": 1.0}, rhs=-1.0)
     model.set_objective({"x": 1.0})
-    result = round_and_repair(model, {"x": 0.9}, groups=[["x"]])
+    result = round_and_repair(model.to_program(), np.array([0.9]), groups=[np.array([0])])
     assert result.status is SolveStatus.INFEASIBLE
 
 
@@ -53,26 +63,31 @@ def test_round_and_repair_keeps_continuous_values():
     model.add_variable("c", lower=0.0, upper=10.0)
     model.add_binary("b")
     model.set_objective({"c": 1.0, "b": 1.0})
-    result = round_and_repair(model, {"c": 2.5, "b": 0.7})
-    assert result.value("c") == pytest.approx(2.5)
-    assert result.value("b") in (0.0, 1.0)
+    result = round_and_repair(model.to_program(), np.array([2.5, 0.7]))
+    values = _named(model, result.values)
+    assert values["c"] == pytest.approx(2.5)
+    assert values["b"] in (0.0, 1.0)
 
 
 def test_fractional_binaries_ordering():
-    values = {"a": 0.5, "b": 0.9, "c": 1.0}
-    ranked = fractional_binaries(values, ["a", "b", "c"])
-    assert ranked == ["a", "b"]  # most fractional first, integral dropped
+    values = np.array([0.5, 0.9, 1.0])
+    ranked = fractional_binaries(values, np.array([True, True, True]))
+    assert ranked.tolist() == [0, 1]  # most fractional first, integral dropped
 
 
-def test_integrality_gap():
-    assert integrality_gap({"a": 1.0, "b": 0.3}, ["a", "b"]) == pytest.approx(0.3)
-    assert integrality_gap({}, []) == 0.0
+def test_fractional_binaries_ties_go_to_the_lowest_column():
+    values = np.array([0.3, 0.5, 0.5, 0.5, 0.5])
+    is_binary = np.array([True, True, True, False, True])
+    assert fractional_binaries(values, is_binary).tolist() == [1, 2, 4, 0]
 
 
 def test_solve_result_helpers():
-    result = SolveResult(status=SolveStatus.OPTIMAL, objective=1.0, values={"x": 0.9})
+    result = SolveResult(status=SolveStatus.OPTIMAL, objective=1.0, values=np.array([0.9]))
     assert result.has_solution
-    assert result.binary_value("x")
-    assert not result.binary_value("missing")
+    assert not result.is_integral(np.array([0]))
+    assert result.is_integral(np.array([0]), tol=0.2)
     assert SolveResult(status=SolveStatus.INFEASIBLE).has_solution is False
+    assert SolveResult(status=SolveStatus.OPTIMAL).has_solution is False  # no values
+    # A solved program with zero columns still carries a (empty) solution.
+    assert SolveResult(status=SolveStatus.OPTIMAL, values=np.zeros(0)).has_solution
     assert SolveStatus.FEASIBLE.has_solution and not SolveStatus.ERROR.has_solution
