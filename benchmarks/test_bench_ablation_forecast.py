@@ -45,9 +45,8 @@ def test_bench_ablation_forecast(bench_once):
                     # Evaluate against the *true* mean intensity of the horizon.
                     true_problem = _problem(testbed, hour, horizon=24.0, use_forecast=True)
                     true_solution = type(solution)(problem=true_problem,
-                                                   placements=dict(solution.placements),
-                                                   power_on=solution.power_on.copy(),
-                                                   unplaced=list(solution.unplaced))
+                                                   assignment=solution.assignment,
+                                                   power_on=solution.power_on.copy())
                     totals[policy.name] += true_solution.total_carbon_g()
             out[label] = totals
         return out

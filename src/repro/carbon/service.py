@@ -35,14 +35,14 @@ class CarbonIntensityService:
     traces: TraceSet
     forecaster: Forecaster = field(default_factory=OracleForecaster)
     horizon_hours: int = 24
-    #: Memo of forecast means keyed by (zone, hour, horizon, forecaster id).
-    #: Traces are replayed (never mutated) and forecasters are deterministic,
-    #: so an epoch's integral over an hourly window is computed exactly once
-    #: per zone — a year-long simulation re-reads it for every server in the
-    #: zone, every policy, every build. Bounded by :attr:`_CACHE_LIMIT`.
+    #: Memo of forecast means: one array per (zone, horizon, forecaster id)
+    #: over the trace's hours, filled lazily (NaN = not computed yet). Traces
+    #: are replayed (never mutated) and forecasters are deterministic, so an
+    #: epoch's integral over an hourly window is computed exactly once per
+    #: zone — a year-long simulation re-reads it for every server in the
+    #: zone, every policy, every build. The memo is bounded by the data:
+    #: zones x horizons in use x trace hours, for the current forecaster.
     _forecast_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    _CACHE_LIMIT = 16384
 
     def __post_init__(self) -> None:
         if self.horizon_hours <= 0:
@@ -79,23 +79,32 @@ class CarbonIntensityService:
     def forecast_mean(self, zone_id: str, hour: int, horizon_hours: int | None = None) -> float:
         """Ī_j: mean forecast intensity of a zone over the placement horizon.
 
-        Memoised per (zone, hour, horizon): a 12-epoch year integrates each
-        hourly trace window once instead of once per server per policy. The
-        forecaster's identity is part of the key, so assigning a new
-        forecaster never serves stale means.
+        Memoised per (zone, hour, horizon) for hours inside the trace: a
+        year of epochs integrates each hourly trace window once instead of
+        once per server per policy. The forecaster's identity is part of the
+        key, so assigning a new forecaster never serves stale means.
         """
         horizon = int(horizon_hours) if horizon_hours is not None else self.horizon_hours
-        key = (zone_id, int(hour), horizon, id(self.forecaster))
+        trace = self.traces.get(zone_id)
+        hour = int(hour)
+        if not 0 <= hour < len(trace):
+            return self.forecaster.forecast_mean(trace, hour, horizon)
+        key = (zone_id, horizon, id(self.forecaster))
         cached = self._forecast_cache.get(key)
         # The cached entry pins the forecaster object, so its id() can never
         # be recycled onto a different forecaster while the entry lives.
         if cached is None or cached[0] is not self.forecaster:
-            if len(self._forecast_cache) >= self._CACHE_LIMIT:
-                self._forecast_cache.clear()
-            value = self.forecaster.forecast_mean(self.traces.get(zone_id), hour, horizon)
-            cached = (self.forecaster, value)
-            self._forecast_cache[key] = cached
-        return cached[1]
+            # The memo only ever holds the current forecaster's means.
+            entries = self._forecast_cache
+            if entries and next(iter(entries.values()))[0] is not self.forecaster:
+                entries.clear()
+            cached = (self.forecaster, np.full(len(trace), np.nan))
+            entries[key] = cached
+        means = cached[1]
+        value = means[hour]
+        if value != value:  # NaN: not computed yet
+            means[hour] = value = self.forecaster.forecast_mean(trace, hour, horizon)
+        return float(value)
 
     def forecast_means(self, zone_ids: list[str], hour: int,
                        horizon_hours: int | None = None) -> np.ndarray:

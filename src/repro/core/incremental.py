@@ -226,10 +226,10 @@ class IncrementalPlacer:
         for j, server in enumerate(problem.servers):
             if solution.power_on[j] > 0.5 and not server.is_on:
                 server.power_on()
-        for app_id, j in solution.placements.items():
-            i = problem.app_index(app_id)
-            problem.servers[j].allocate(app_id, problem.demands[i][j])
-            self.active_apps[app_id] = problem.applications[i]
+        ids = problem.app_ids()
+        for i, j in zip(*(a.tolist() for a in solution.placed_pairs())):
+            problem.servers[j].allocate(ids[i], problem.demands[i][j])
+            self.active_apps[ids[i]] = problem.applications[i]
 
     def release_all(self) -> None:
         """Release every allocation committed through this placer (keeps power states)."""

@@ -151,19 +151,20 @@ def build_placement_model(problem: PlacementProblem,
 
 
 def solution_from_values(problem: PlacementProblem, placement: PlacementProgram,
-                         values: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
-    """Decode program column values into (placements, power_on).
+                         values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode program column values into an (A,) assignment vector and power_on.
 
     An application goes to its first candidate server (ascending) whose ``x``
-    exceeds 0.5. Any server hosting an application is on regardless of ``y``.
+    exceeds 0.5, and is unplaced (-1) when none does. Any server hosting an
+    application is on regardless of ``y``.
     """
     n_servers = problem.n_servers
     chosen = np.flatnonzero(values[n_servers:] > 0.5)
     apps, first = np.unique(placement.pair_app[chosen], return_index=True)
     servers = placement.pair_server[chosen[first]]
-    applications = problem.applications
-    placements = {applications[i].app_id: j for i, j in zip(apps.tolist(), servers.tolist())}
+    assignment = np.full(problem.n_applications, -1, dtype=np.intp)
+    assignment[apps] = servers
     power_on = problem.current_power.copy()
     power_on[values[:n_servers] > 0.5] = 1.0
     power_on[servers] = 1.0
-    return placements, power_on
+    return assignment, power_on

@@ -115,7 +115,11 @@ def apply_tie_break(assign: np.ndarray, mask: np.ndarray,
     tie_scale = float(tie[mask].max()) if mask.any() else 1.0
     if scale > 0 and tie_scale > 0:
         epsilon = 1e-5 * scale / tie_scale
-        return assign + epsilon * np.where(mask, tie, 0.0)
+        if np.isfinite(epsilon):
+            return assign + epsilon * np.where(mask, tie, 0.0)
+        # A subnormal tie maximum overflows the quotient: scale the tie
+        # values to [0, 1] first instead.
+        return assign + (1e-5 * scale) * (np.where(mask, tie, 0.0) / tie_scale)
     return assign
 
 

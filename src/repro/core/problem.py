@@ -24,6 +24,7 @@ from repro.cluster.server import EdgeServer
 from repro.network.latency import LatencyMatrix
 from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
+from repro.workloads.generator import LazyApplications
 from repro.workloads.profiles import get_profile
 
 #: Large latency assigned to (application, server) pairs with no usable profile.
@@ -145,6 +146,8 @@ class PlacementProblem:
     #: (A, S) support mask: True where the workload has a profile on the server.
     supported: np.ndarray | None = None
     # -- lazily built caches (the problem is immutable once constructed) --------
+    _app_ids: Sequence[str] | None = field(default=None, init=False,
+                                           repr=False, compare=False)
     _app_index_map: dict[str, int] | None = field(default=None, init=False,
                                                   repr=False, compare=False)
     _server_index_map: dict[str, int] | None = field(default=None, init=False,
@@ -246,20 +249,33 @@ class PlacementProblem:
         """(S,) energy of keeping each server on for the horizon, joules."""
         return self.base_power_w * self.horizon_hours * 3600.0
 
+    def app_ids(self) -> Sequence[str]:
+        """Application ids in index order (cached).
+
+        Read off the columnar batch when the problem was assembled from one,
+        so asking for ids never materialises the per-object view.
+        """
+        if self._app_ids is None:
+            apps = self.applications
+            self._app_ids = apps.batch.app_ids() if isinstance(apps, LazyApplications) \
+                else tuple(app.app_id for app in apps)
+        return self._app_ids
+
+    def _index_map(self) -> dict[str, int]:
+        if self._app_index_map is None:
+            self._app_index_map = {app_id: i for i, app_id in enumerate(self.app_ids())}
+        return self._app_index_map
+
     def app_index(self, app_id: str) -> int:
         """Index of an application by id (O(1) via a lazily built map)."""
-        if self._app_index_map is None:
-            self._app_index_map = {app.app_id: i for i, app in enumerate(self.applications)}
         try:
-            return self._app_index_map[app_id]
+            return self._index_map()[app_id]
         except KeyError:
             raise KeyError(f"unknown application {app_id!r}") from None
 
     def app_indices(self, app_ids: Sequence[str]) -> np.ndarray:
         """(len(app_ids),) int array of application indices (vectorised lookup)."""
-        if self._app_index_map is None:
-            self._app_index_map = {app.app_id: i for i, app in enumerate(self.applications)}
-        index = self._app_index_map
+        index = self._index_map()
         try:
             return np.fromiter((index[a] for a in app_ids), dtype=np.intp,
                                count=len(app_ids))

@@ -156,8 +156,6 @@ class ServingMetrics:
                         latency_s: float) -> DecisionRecord:
         """Append one decision (assignments are read off the solution)."""
         problem = solution.problem
-        assignments = {app_id: problem.servers[j].server_id
-                       for app_id, j in solution.placements.items()}
         record = DecisionRecord(
             index=len(self.decisions),
             kind=kind,
@@ -166,7 +164,7 @@ class ServingMetrics:
             n_apps=problem.n_applications,
             n_placed=solution.n_placed,
             carbon_g=float(solution.total_carbon_g()),
-            assignments=assignments,
+            assignments=solution.server_ids_by_app(),
             latency_s=float(latency_s),
         )
         self.decisions.append(record)

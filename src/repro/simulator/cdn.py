@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.synthetic import SyntheticTraceGenerator
 from repro.cluster.fleet import EdgeFleet, build_cdn_fleet
@@ -167,16 +165,8 @@ def build_epoch_record(problem: PlacementProblem, compilation, solution,
     byte-diffs two runs of the same record builder rather than two
     hand-maintained copies of it.
     """
-    if solution.placements:
-        j_arr = np.fromiter(solution.placements.values(), dtype=np.intp,
-                            count=len(solution.placements))
-        hosting_intensities = problem.intensity[j_arr].tolist()
-    else:
-        hosting_intensities = []
-    assignments: dict[str, str] = {}
-    if record_assignments:
-        assignments = {app_id: problem.servers[j].server_id
-                       for app_id, j in solution.placements.items()}
+    hosting_intensities = problem.intensity[solution.placed_pairs()[1]].tolist()
+    assignments = solution.server_ids_by_app() if record_assignments else {}
     return EpochRecord(
         epoch=epoch,
         start_hour=start_hour,
@@ -186,7 +176,7 @@ def build_epoch_record(problem: PlacementProblem, compilation, solution,
         mean_one_way_latency_ms=solution.mean_latency_ms(),
         latency_increase_one_way_ms=solution.latency_increase_ms(),
         n_placed=solution.n_placed,
-        n_unplaced=len(solution.unplaced),
+        n_unplaced=solution.n_unplaced,
         apps_per_site=solution.apps_per_site(),
         hosting_intensities=hosting_intensities,
         solve_time_s=solution.solve_time_s,

@@ -196,10 +196,7 @@ def raw_objective_value(request: SolveRequest, solution: PlacementSolution) -> f
     for energy, the normalised blend for multi-objective).
     """
     assign, activation = request.coefficients()
-    problem = request.problem
-    total = 0.0
-    for app_id, j in solution.placements.items():
-        total += float(assign[problem.app_index(app_id), j])
+    total = float(sum(assign[solution.placed_pairs()].tolist()))
     if request.manage_power:
         total += float(np.dot(solution.newly_activated(), activation))
     return total

@@ -47,10 +47,9 @@ class BranchAndBoundBackend:
         result = solver.solve(placement.program)
         if not result.has_solution:
             return None
-        placements, power_on = solution_from_values(problem, placement, result.values)
-        unplaced = [problem.applications[i].app_id for i in request.report.unplaceable]
-        return PlacementSolution(problem=problem, placements=placements,
-                                 power_on=power_on, unplaced=unplaced,
+        assignment, power_on = solution_from_values(problem, placement, result.values)
+        return PlacementSolution(problem=problem, assignment=assignment,
+                                 power_on=power_on,
                                  solver_gap=result.gap,
                                  solver_bound=result.bound,
                                  solver_params={

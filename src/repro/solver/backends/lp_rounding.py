@@ -53,10 +53,9 @@ class LPRandomizedRoundingBackend:
         if not relaxed.has_solution:
             return None
         if relaxed.is_integral(placement.program.is_binary):
-            placements, power_on = solution_from_values(problem, placement, relaxed.values)
-            unplaced = [problem.applications[i].app_id for i in request.report.unplaceable]
-            return PlacementSolution(problem=problem, placements=placements,
-                                     power_on=power_on, unplaced=unplaced, solver_gap=0.0)
+            assignment, power_on = solution_from_values(problem, placement, relaxed.values)
+            return PlacementSolution(problem=problem, assignment=assignment,
+                                     power_on=power_on, solver_gap=0.0)
         return self._round(request, self._fraction_matrix(problem, placement, relaxed.values))
 
     # -- randomized rounding ----------------------------------------------------

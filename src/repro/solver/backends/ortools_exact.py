@@ -34,7 +34,12 @@ import numpy as np
 
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import SolveRequest
-from repro.solver.compile import DenseCosts, GreedyState, greedy_fill
+from repro.solver.compile import (
+    DenseCosts,
+    GreedyState,
+    assignment_to_solution,
+    greedy_fill,
+)
 from repro.solver.registry import register_backend
 
 #: Wall-clock budget when the request carries none (matches the bnb default).
@@ -137,22 +142,11 @@ class _DenseModel:
     def decode(self, assignment: np.ndarray, *, gap: float, bound: float,
                params: dict[str, object]) -> PlacementSolution:
         """Build a solution (placements, power, provenance) from an (A,) vector."""
-        problem = self.request.problem
-        placements: dict[str, int] = {}
-        unplaced: list[str] = []
-        for i, app in enumerate(problem.applications):
-            j = int(assignment[i])
-            if j >= 0:
-                placements[app.app_id] = j
-            else:
-                unplaced.append(app.app_id)
-        power_on = problem.current_power.copy()
-        for j in set(placements.values()):
-            power_on[j] = 1.0
-        return PlacementSolution(problem=problem, placements=placements,
-                                 power_on=power_on, unplaced=unplaced,
-                                 solver_gap=gap, solver_bound=bound,
-                                 solver_params=params)
+        solution = assignment_to_solution(self.request.problem, assignment)
+        solution.solver_gap = gap
+        solution.solver_bound = bound
+        solution.solver_params = params
+        return solution
 
 
 def _relative_gap(objective: float, bound: float) -> float:

@@ -612,23 +612,18 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
 
 def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,
                            manage_power: bool = True) -> PlacementSolution:
-    """Decode an (A,) assignment vector (server index or -1) into a solution."""
-    placements: dict[str, int] = {}
-    unplaced: list[str] = []
-    for i, app in enumerate(problem.applications):
-        j = int(assignment[i])
-        if j >= 0:
-            placements[app.app_id] = j
-        else:
-            unplaced.append(app.app_id)
+    """Wrap an (A,) assignment vector (server index or -1) as a solution.
+
+    With ``manage_power`` every hosting server is switched on; without it
+    every server counts as on.
+    """
+    assignment = np.asarray(assignment, dtype=np.intp)
     if manage_power:
         power_on = problem.current_power.copy()
-        for j in set(placements.values()):
-            power_on[j] = 1.0
+        power_on[assignment[assignment >= 0]] = 1.0
     else:
         power_on = np.ones(problem.n_servers)
-    return PlacementSolution(problem=problem, placements=placements,
-                             power_on=power_on, unplaced=unplaced)
+    return PlacementSolution(problem=problem, assignment=assignment, power_on=power_on)
 
 
 def dense_greedy_solution(
@@ -760,6 +755,7 @@ def clear_compilation(problem: PlacementProblem) -> None:
     problem._feasible_mask = None
     problem._nearest_feasible = None
     problem._dense_resources = None
+    problem._app_ids = None
     problem._app_index_map = None
     problem._server_index_map = None
 

@@ -262,13 +262,10 @@ def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
                               objective=objective, alpha=alpha,
                               manage_power=manage_power, seed=seed,
                               warm_start=local_warm, config=config)
-    local = np.full(len(apps), -1, dtype=int)
     remaining = [cap for cap in problem.capacities]
-    for app_id, j in solution.placements.items():
-        i = problem.app_index(app_id)
-        local[i] = int(j)
+    for i, j in zip(*(a.tolist() for a in solution.placed_pairs())):
         remaining[j] = remaining[j] - problem.demands[i][j]
-    return global_idx, local, remaining
+    return global_idx, solution.assignment, remaining
 
 
 def solve_hierarchical(

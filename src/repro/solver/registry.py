@@ -213,49 +213,46 @@ def solve(
     chosen = baseline
     if primary is not None:
         primary.backend_name = name
-        _fill_missing(request, primary, baseline)
+        _complete(request, primary, baseline)
         chosen = _better(request, primary, baseline)
     chosen.solve_time_s = time.monotonic() - start
     chosen.warm_hints_dropped = request.warm_hints_dropped
     return chosen
 
 
-def _fill_missing(request: SolveRequest, primary: PlacementSolution,
-                  baseline: PlacementSolution) -> None:
-    """Fill applications the primary backend left out from the baseline.
+def _complete(request: SolveRequest, primary: PlacementSolution,
+              baseline: PlacementSolution) -> None:
+    """Offer the baseline's choice for every placeable application the
+    primary backend left unplaced, writing into its assignment vector.
 
     An exhausted node/time budget can return an incumbent that covers only
     part of the batch; the deterministic heuristic's choices complete it so
     callers always see every placeable application handled. A baseline choice
     is only adopted when the incumbent's remaining capacity actually fits it
     — the heuristic may have loaded that server differently — otherwise the
-    application is reported unplaced (and ``_better`` then usually prefers
-    the complete baseline solution).
+    application stays unplaced (and ``_better`` then usually prefers the
+    complete baseline solution).
     """
     problem = request.problem
-    missing = [app for app in problem.applications
-               if app.app_id not in primary.placements and app.app_id not in primary.unplaced]
-    if not missing:
+    placeable = np.ones(problem.n_applications, dtype=bool)
+    placeable[request.report.unplaceable] = False
+    missing = np.flatnonzero((primary.assignment < 0) & placeable
+                             & (baseline.assignment >= 0))
+    if not missing.size:
         return
     remaining = [cap.copy() for cap in problem.capacities]
-    for app_id, j in primary.placements.items():
+    for i, j in zip(*(a.tolist() for a in primary.placed_pairs())):
         try:
-            remaining[j] = remaining[j] - problem.demands[problem.app_index(app_id)][j]
+            remaining[j] = remaining[j] - problem.demands[i][j]
         except ValueError:  # incumbent overloads j; be conservative, never add there
             remaining[j] = ResourceVector()
-    for app in missing:
-        j = baseline.placements.get(app.app_id)
-        if j is None:
-            primary.unplaced.append(app.app_id)
-            continue
-        i = problem.app_index(app.app_id)
+    for i in missing.tolist():
+        j = int(baseline.assignment[i])
         if not problem.demands[i][j].fits_within(remaining[j]):
-            primary.unplaced.append(app.app_id)
             continue
         remaining[j] = remaining[j] - problem.demands[i][j]
-        primary.placements[app.app_id] = j
+        primary.assignment[i] = j
         if request.manage_power:
-            primary.power_on = np.asarray(primary.power_on, dtype=float)
             primary.power_on[j] = 1.0
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.carbon.forecasting import OracleForecaster
 from repro.cluster.resources import ResourceVector
 from repro.core.objective import ObjectiveKind
 from repro.core.policies import (
@@ -154,22 +155,69 @@ def test_app_indices_vectorised_lookup(central_eu_problem):
         problem.app_indices(["nope"])
 
 
+class _CountingOracle(OracleForecaster):
+    """Oracle forecaster that counts how often a mean is computed."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def forecast_mean(self, trace, now_hour, horizon_hours):
+        self.calls += 1
+        return super().forecast_mean(trace, now_hour, horizon_hours)
+
+
 def test_forecast_mean_is_memoised(central_eu_carbon):
     service = central_eu_carbon
-    service.clear_forecast_cache()
+    service.forecaster = counting = _CountingOracle()
     zone = service.zones()[0]
     first = service.forecast_mean(zone, 0, 24)
-    assert len(service._forecast_cache) == 1
+    assert first == OracleForecaster().forecast_mean(service.trace(zone), 0, 24)
+    assert counting.calls == 1
     assert service.forecast_mean(zone, 0, 24) == first
-    assert len(service._forecast_cache) == 1
-    # A different epoch window is a different cache entry.
+    assert counting.calls == 1
+    # A different epoch window is computed once, then memoised too.
     service.forecast_mean(zone, 24, 24)
-    assert len(service._forecast_cache) == 2
+    service.forecast_mean(zone, 24, 24)
+    assert counting.calls == 2
+    # Hours outside the trace are computed, never memoised.
+    service.forecast_mean(zone, -1, 24)
+    service.forecast_mean(zone, len(service.trace(zone)), 24)
+    assert counting.calls == 4
     # Swapping the forecaster never serves a stale mean.
     from repro.carbon.forecasting import PersistenceForecaster
     service.forecaster = PersistenceForecaster()
     persisted = service.forecast_mean(zone, 0, 24)
     assert persisted == pytest.approx(service.current_intensity(zone, 0))
+    assert len(service._forecast_cache) == 1  # the replaced forecaster's means are gone
+
+
+def test_forecast_memo_holds_a_whole_us_year():
+    """The fig11 US year at daily epochs needs 47 zones x 365 windows, more
+    than a fixed-size memo held; a second pass over the same substrate must
+    compute nothing."""
+    from repro.simulator.cdn import CDNSimulator
+    from repro.simulator.scenario import CDNScenario
+
+    scenario = CDNScenario(continent="US", latency_limit_ms=20.0, n_epochs=365,
+                           apps_per_site_per_epoch=2.0, solver="greedy", seed=0)
+    sim = CDNSimulator(scenario)
+    carbon = sim.carbon
+    previous = carbon.forecaster
+    carbon.forecaster = counting = _CountingOracle()
+    try:
+        n_zones = len({server.zone_id for server in sim.fleet.servers()})
+        assert n_zones * scenario.n_epochs > 16384
+
+        def one_pass():
+            return [sim.epoch_problem(e).intensity for e in range(scenario.n_epochs)]
+
+        first = one_pass()
+        assert counting.calls == n_zones * scenario.n_epochs
+        second = one_pass()
+        assert counting.calls == n_zones * scenario.n_epochs
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    finally:
+        carbon.forecaster = previous
 
 
 def test_incremental_placer_records_compilation(central_eu_fleet, central_eu_latency,

@@ -40,7 +40,7 @@ def test_validate_accepts_trivial_local_placement(central_eu_problem):
     for i, app in enumerate(central_eu_problem.applications):
         j = int(np.argmin(central_eu_problem.latency_ms[i]))
         placements[app.app_id] = j
-    solution = PlacementSolution(problem=central_eu_problem, placements=placements)
+    solution = PlacementSolution.from_placements(central_eu_problem, placements)
     assert validate_solution(solution) == []
 
 
@@ -51,15 +51,35 @@ def test_validate_detects_latency_violation(central_eu_fleet, central_eu_latency
     problem = PlacementProblem.build(apps, central_eu_fleet.servers(), central_eu_latency,
                                      central_eu_carbon, hour=0)
     far = int(np.argmax(problem.latency_ms[0]))
-    solution = PlacementSolution(problem=problem, placements={apps[0].app_id: far})
+    solution = PlacementSolution.from_placements(problem, {apps[0].app_id: far})
     with pytest.raises(ValidationError, match="latency"):
         validate_solution(solution)
 
 
 def test_validate_detects_missing_application(central_eu_problem):
-    solution = PlacementSolution(problem=central_eu_problem, placements={})
+    # Equation 3 defects are refused when a hand-written solution is built.
+    with pytest.raises(ValueError, match="neither placed nor marked unplaced"):
+        PlacementSolution.from_placements(central_eu_problem, {})
+    first = central_eu_problem.applications[0].app_id
+    with pytest.raises(ValueError, match="both placed and unplaced"):
+        PlacementSolution.from_placements(
+            central_eu_problem, {first: 0},
+            unplaced=[a.app_id for a in central_eu_problem.applications])
+
+
+def test_validate_detects_malformed_assignment(central_eu_problem):
+    p = central_eu_problem
+    solution = PlacementSolution(problem=p)
+    assert validate_solution(solution) == []
+    solution.assignment[1] = p.n_servers
+    solution.assignment[2] = -2
     violations = validate_solution(solution, strict=False)
-    assert any("neither placed nor marked unplaced" in v for v in violations)
+    assert violations == [f"assignment names no server in [-1, {p.n_servers}) for "
+                          f"applications: {[p.applications[1].app_id, p.applications[2].app_id]}"]
+    solution.assignment = np.zeros(p.n_applications)
+    assert "not server indices" in validate_solution(solution, strict=False)[0]
+    solution.assignment = np.zeros(p.n_applications + 1, dtype=int)
+    assert "expected" in validate_solution(solution, strict=False)[0]
 
 
 def test_validate_detects_capacity_violation(florida_fleet, florida_latency, florida_carbon):
@@ -67,18 +87,16 @@ def test_validate_detects_capacity_violation(florida_fleet, florida_latency, flo
     problem = PlacementProblem.build(apps, florida_fleet.servers(), florida_latency,
                                      florida_carbon, hour=0)
     miami = problem.server_index("Miami-srv00")
-    solution = PlacementSolution(problem=problem,
-                                 placements={a.app_id: miami for a in apps})
+    solution = PlacementSolution.from_placements(problem, {a.app_id: miami for a in apps})
     violations = validate_solution(solution, strict=False)
     assert any("over capacity" in v for v in violations)
 
 
 def test_validate_detects_powered_off_host(central_eu_problem):
     p = central_eu_problem
-    solution = PlacementSolution(problem=p,
-                                 placements={p.applications[0].app_id: 0},
-                                 power_on=np.zeros(p.n_servers),
-                                 unplaced=[a.app_id for a in p.applications[1:]])
+    solution = PlacementSolution.from_placements(
+        p, {p.applications[0].app_id: 0},
+        unplaced=[a.app_id for a in p.applications[1:]], power_on=np.zeros(p.n_servers))
     violations = validate_solution(solution, strict=False)
     assert any("powered off" in v for v in violations)
     # Switching off an already-on server also violates power-state consistency.
@@ -86,8 +104,7 @@ def test_validate_detects_powered_off_host(central_eu_problem):
 
 
 def test_validate_detects_unknown_placement(central_eu_problem):
-    solution = PlacementSolution(problem=central_eu_problem,
-                                 placements={"ghost": 0},
-                                 unplaced=[a.app_id for a in central_eu_problem.applications])
-    violations = validate_solution(solution, strict=False)
-    assert any("unknown applications" in v for v in violations)
+    with pytest.raises(ValueError, match="placements for unknown applications"):
+        PlacementSolution.from_placements(
+            central_eu_problem, {"ghost": 0},
+            unplaced=[a.app_id for a in central_eu_problem.applications])

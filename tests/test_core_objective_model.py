@@ -6,6 +6,7 @@ import pytest
 from repro.core.model_builder import build_placement_model, solution_from_values
 from repro.core.objective import (
     ObjectiveKind,
+    apply_tie_break,
     carbon_objective_coefficients,
     energy_objective_coefficients,
     latency_objective_coefficients,
@@ -21,6 +22,30 @@ def test_carbon_coefficients_match_problem(central_eu_problem):
     assign, activation = carbon_objective_coefficients(central_eu_problem)
     assert np.allclose(assign, central_eu_problem.operational_carbon_g())
     assert np.allclose(activation, central_eu_problem.activation_carbon_g())
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_tie_break_survives_subnormal_tie_values(tiny, scale):
+    # Objective-equal candidates, ordered by a subnormal tie value: the
+    # epsilon quotient 1e-5 * scale / tiny can overflow to inf.
+    assign = np.full((1, 3), scale)
+    mask = np.array([[True, True, False]])
+    tie = np.array([[tiny, 0.0, tiny]])
+    out = apply_tie_break(assign, mask, tie)
+    assert np.all(np.isfinite(out))
+    assert out[0, 1] < out[0, 0]  # the smaller tie value wins the tie
+    assert out[0, 2] == scale  # off-mask entries are not perturbed
+    assert np.argmin(np.where(mask, out, np.inf)) == 1
+
+
+def test_tie_break_finite_epsilon_path_is_unchanged():
+    assign = np.array([[3.0, 3.0, 7.5], [2.0, 0.0, 2.0]])
+    mask = np.array([[True, True, True], [True, False, True]])
+    tie = np.array([[4.0, 1.0, 9.0], [0.5, 8.0, 0.25]])
+    epsilon = 1e-5 * 7.5 / 9.0
+    expected = assign + epsilon * np.where(mask, tie, 0.0)
+    assert apply_tie_break(assign, mask, tie).tobytes() == expected.tobytes()
 
 
 def test_energy_and_latency_coefficients(central_eu_problem):
@@ -82,11 +107,12 @@ def test_model_solution_decoding(central_eu_problem):
     placement = build_placement_model(central_eu_problem)
     result = BranchAndBoundSolver(group_offsets=placement.offsets).solve(placement.program)
     assert result.has_solution
-    placements, power_on = solution_from_values(central_eu_problem, placement, result.values)
-    assert len(placements) == central_eu_problem.n_applications
+    assignment, power_on = solution_from_values(central_eu_problem, placement, result.values)
+    assert assignment.shape == (central_eu_problem.n_applications,)
+    assert np.all(assignment >= 0)  # every application placed
     assert power_on.shape == (central_eu_problem.n_servers,)
     # Every used server is powered on in the decoded solution.
-    for j in placements.values():
+    for j in assignment.tolist():
         assert power_on[j] == 1.0
 
 

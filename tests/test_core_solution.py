@@ -63,8 +63,10 @@ def test_server_of_unknown_app(central_eu_problem):
 
 
 def test_empty_solution_metrics(central_eu_problem):
-    solution = PlacementSolution(problem=central_eu_problem,
-                                 unplaced=[a.app_id for a in central_eu_problem.applications])
+    solution = PlacementSolution.from_placements(
+        central_eu_problem, {}, unplaced=[a.app_id for a in central_eu_problem.applications])
+    assert np.array_equal(solution.assignment, PlacementSolution(central_eu_problem).assignment)
+    assert solution.unplaced == tuple(central_eu_problem.app_ids())
     assert solution.n_placed == 0
     assert not solution.all_placed
     assert solution.total_carbon_g() == 0.0

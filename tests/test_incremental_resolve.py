@@ -108,8 +108,7 @@ class _EvictingPolicy(CarbonEdgePolicy):
     def place(self, problem, warm_start=None):
         solution = super().place(problem, warm_start=warm_start)
         victim = sorted(solution.placements)[0]
-        del solution.placements[victim]
-        solution.unplaced.append(victim)
+        solution.assignment[problem.app_index(victim)] = -1
         return solution
 
 

@@ -184,12 +184,15 @@ class _StubProblem:
 
 class _StubSolution:
     problem = _StubProblem()
-    placements = {}
     n_placed = 0
 
     @staticmethod
     def total_carbon_g():
         return 0.0
+
+    @staticmethod
+    def server_ids_by_app():
+        return {}
 
 
 def test_serving_metrics_percentiles_are_reservoir_backed():

@@ -85,6 +85,29 @@ def test_custom_backend_registration_and_cleanup(central_eu_problem):
         del registry._ALIASES["void"]
 
 
+def test_registry_completes_a_partial_incumbent(central_eu_problem):
+    # An incumbent that leaves placeable applications unplaced (an exhausted
+    # budget) is completed from the heuristic baseline, in its own vector.
+    @registry.register_backend("partial-stub")
+    class PartialBackend:
+        name = "partial-stub"
+
+        def solve(self, request):
+            solution = registry.get_backend("heuristic").solve(request)
+            solution.assignment[::2] = -1
+            return solution
+
+    try:
+        solution = registry.solve(central_eu_problem, backend="partial-stub")
+        validate_solution(solution)
+        assert solution.backend_name == "partial-stub"
+        assert solution.all_placed
+        baseline = registry.solve(central_eu_problem, backend="heuristic")
+        assert np.array_equal(solution.assignment, baseline.assignment)
+    finally:
+        del registry._BACKENDS["partial-stub"]
+
+
 # -- cross-backend agreement -----------------------------------------------------
 
 def test_all_backends_feasible_and_within_tolerance(central_eu_problem):
